@@ -31,18 +31,20 @@
 // the shard is safely merged, so a completed fan-out leaves the
 // fleet's data directories empty (see also slimcodemld -retain).
 //
-// Against follow-capable daemons each shard's results arrive over a
-// streaming ?follow=1 connection opened at submission — rows land in
-// the shard's local spool as the daemon checkpoints them and status
-// polling disappears; old daemons are detected automatically and
-// polled classically (-no-follow forces that for diagnosis). A fleet
-// running slimcodemld -tenants needs -token with a valid API token.
+// Each shard's results arrive over a streaming ?follow=1 connection
+// opened at submission: rows land in the shard's local spool as the
+// daemon checkpoints them, and the coordinator wakes when a stream
+// ends — there is no poll interval to tune. A daemon that does not
+// stream results is too old and fails the run with an upgrade message.
+// A fleet running slimcodemld -tenants needs -token with a valid API
+// token.
 //
-// Observability: -metrics-addr serves the coordinator's own Prometheus
-// /metrics (shard-phase and endpoint-health gauges, resubmission
-// counters, poll latency) on a separate listener, and -logfmt emits
-// the shard/endpoint lifecycle as structured text or JSON events on
-// stderr — see docs/OPERATIONS.md.
+// Progress — submissions, merges, endpoint deaths and re-admissions,
+// resubmissions — is one structured event log on stderr, text by
+// default or JSON with -logfmt json; -quiet silences it. -metrics-addr
+// serves the coordinator's own Prometheus /metrics (shard-phase and
+// endpoint-health gauges, resubmission counters, status-call latency)
+// on a separate listener — see docs/OPERATIONS.md.
 package main
 
 import (
@@ -70,7 +72,6 @@ func main() {
 		endpoints   = flag.String("endpoints", "", "comma-separated slimcodemld base URLs (host:port or http://host:port)")
 		shards      = flag.Int("shards", 0, "contiguous row ranges to split the manifest into (0 = four per endpoint)")
 		outPath     = flag.String("out", "", "merged JSONL results file; the fan-out ledger lives beside it (<out>.fanout)")
-		poll        = flag.Duration("poll", 500*time.Millisecond, "job status poll interval")
 		inflight    = flag.Int("inflight", 1, "jobs submitted to one endpoint at a time; further shards queue")
 		reprobe     = flag.Duration("reprobe", time.Second, "initial backoff before a dead endpoint is health-probed for re-admission (negative disables re-probing)")
 		reprobeMax  = flag.Duration("reprobe-max", 30*time.Second, "re-probe backoff ceiling")
@@ -86,11 +87,10 @@ func main() {
 		warmStart   = flag.Bool("warmstart", false, "hint daemons to seed optimizers from their warm cache's last MLE when a gene's inputs match (relaxes bit-determinism; needs daemons with -cachedir)")
 		jobs        = flag.Int("jobs", 0, "genes fitted concurrently within each daemon job (0 = daemon's GOMAXPROCS)")
 		prefetch    = flag.Int("prefetch", 0, "genes resident at once within each daemon job (0 = 2×jobs)")
-		quiet       = flag.Bool("quiet", false, "suppress per-shard progress lines")
+		quiet       = flag.Bool("quiet", false, "suppress the progress event log")
 		token       = flag.String("token", "", "API token sent as 'Authorization: Bearer <token>' to every daemon (for fleets running slimcodemld -tenants; harmless otherwise)")
-		noFollow    = flag.Bool("no-follow", false, "poll job status instead of streaming results via ?follow=1 (streaming falls back to polling automatically on old daemons; this flag is for diagnosis)")
 		metricsAddr = flag.String("metrics-addr", "", "serve the coordinator's own Prometheus /metrics on this address (e.g. :9710; empty disables)")
-		logFmt      = flag.String("logfmt", "", "structured event log on stderr: text or json (empty disables; progress lines are separate, see -quiet)")
+		logFmt      = flag.String("logfmt", "text", "progress event log format on stderr: text or json")
 	)
 	flag.Parse()
 	if (*maniPath == "") == (*dirPath == "") || *endpoints == "" || *outPath == "" {
@@ -121,20 +121,16 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	logf := func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) }
-	if *quiet {
-		logf = nil
+	logger, err := obs.NewLogger(os.Stderr, *logFmt)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "slimcodemlx:", err)
+		os.Exit(2)
 	}
-	logger := obs.NopLogger()
-	if *logFmt != "" {
-		var lerr error
-		if logger, lerr = obs.NewLogger(os.Stderr, *logFmt); lerr != nil {
-			fmt.Fprintln(os.Stderr, "slimcodemlx:", lerr)
-			os.Exit(2)
-		}
+	if *quiet {
+		logger = obs.NopLogger()
 	}
 	// The coordinator's own metric surface (shard phases, endpoint
-	// health, poll latency) on a separate listener: the coordinator is a
+	// health, status-call latency) on a separate listener: the coordinator is a
 	// client of the daemons' APIs, not a server, so the scrape port is
 	// opt-in and carries nothing else.
 	reg := obs.NewRegistry()
@@ -149,19 +145,17 @@ func main() {
 	}
 	fmt.Printf("SlimCodeML fan-out: %d genes over %d endpoints\n", len(entries), len(eps))
 	sum, err := fanout.Run(ctx, fanout.Config{
-		Entries:       entries,
-		Endpoints:     eps,
-		Shards:        *shards,
-		InFlight:      *inflight,
-		Reprobe:       *reprobe,
-		ReprobeMax:    *reprobeMax,
-		OutPath:       *outPath,
-		Poll:          *poll,
-		MaxResubmits:  *resubmits,
-		Purge:         *purge,
-		CountCache:    *countCache,
-		Token:         *token,
-		DisableFollow: *noFollow,
+		Entries:      entries,
+		Endpoints:    eps,
+		Shards:       *shards,
+		InFlight:     *inflight,
+		Reprobe:      *reprobe,
+		ReprobeMax:   *reprobeMax,
+		OutPath:      *outPath,
+		MaxResubmits: *resubmits,
+		Purge:        *purge,
+		CountCache:   *countCache,
+		Token:        *token,
 		Spec: serve.JobSpec{
 			Engine:           *engine,
 			Freq:             *freq,
@@ -173,7 +167,6 @@ func main() {
 			Concurrency:      *jobs,
 			Prefetch:         *prefetch,
 		},
-		Logf:    logf,
 		Log:     logger,
 		Metrics: reg,
 	})

@@ -195,8 +195,9 @@ const (
 
 // Options configures an Analysis.
 type Options struct {
-	// Engine selects the benchmarked configuration; default
-	// EngineSlim.
+	// Engine selects the benchmarked configuration. The zero value is
+	// EngineBaseline; the command-line tools and the daemon's job spec
+	// default to EngineSlim (ParseEngineKind maps "" to it).
 	Engine EngineKind
 	// MaxIterations caps BFGS iterations per hypothesis; default 500
 	// (CodeML-scale fits).

@@ -112,7 +112,6 @@ func TestFanoutElasticReprobe(t *testing.T) {
 		Shards:       4,
 		OutPath:      outPath,
 		Spec:         testSpec,
-		Poll:         20 * time.Millisecond,
 		MaxResubmits: 3,
 		Reprobe:      50 * time.Millisecond,
 		ReprobeMax:   200 * time.Millisecond,
@@ -189,7 +188,6 @@ func TestFanoutShareFreqParityAndResume(t *testing.T) {
 		Shards:    3,
 		OutPath:   outPath,
 		Spec:      spec,
-		Poll:      20 * time.Millisecond,
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())

@@ -3,8 +3,7 @@
 // the manifest into deterministic contiguous shards (manifest.Shard),
 // keeps the shards in a coordinator-side queue from which daemons pull
 // work as they finish, streams each submitted job's results over the
-// daemons' HTTP API (serve.Client follow mode, falling back to status
-// polling against daemons that lack it), and concatenates the
+// daemons' HTTP API (serve.Client follow mode), and concatenates the
 // per-shard JSONL results — in shard order — into a single output file
 // that is byte-identical to a standalone single-process run of the
 // same manifest.
@@ -18,6 +17,21 @@
 // shards than a slow one, and a dead daemon's unfinished shards simply
 // flow back into the queue — the slowest daemon gates only its own
 // current shard, not a statically pinned fraction of the manifest.
+//
+// # Event-driven scheduling
+//
+// The coordinator is one goroutine running scheduling rounds. Every
+// submitted shard has a follower goroutine copying its job's follow
+// stream into the shard's spool; when the stream ends, the follower
+// reports on one coordinator-wide event channel, and one status call
+// classifies the end (done, failed, or cut early). A round that changed
+// anything — a shard's phase, an endpoint's health — is followed at
+// once by another; otherwise the coordinator sleeps until a follower
+// reports, the earliest deadline falls due (a dead endpoint's re-probe,
+// the fleet-dead grace, a shard's retry) or the run is cancelled. No
+// timer paces the happy path. A shard every endpoint refused with 503,
+// or whose stream ended before its job did, waits retryDelay before the
+// next attempt, so nothing retries in a hot loop.
 //
 // # Endpoint health and re-probe
 //
@@ -63,8 +77,8 @@
 //     the remaining daemons (a resubmitted job re-runs the shard from
 //     scratch — per-daemon checkpoints do not travel). A shard is
 //     resubmitted at most MaxResubmits times before the run fails.
-//     Finished shards are downloaded to a local spool file the moment
-//     their job reports done, so a daemon that subsequently dies — or
+//     Each shard's results stream into a local spool file while its
+//     job runs, so a daemon that dies after the job is done — or
 //     purges the job via its retention sweep — while earlier shards
 //     are still running costs nothing.
 //   - Job-level failures surface: a per-gene error rides inside the
@@ -84,6 +98,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/align"
@@ -96,15 +111,18 @@ import (
 
 // Tuning defaults: shards cut per endpoint when Config.Shards is zero,
 // the dead-endpoint re-probe backoff range, the health-probe timeout,
-// and how many ReprobeMax periods the whole fleet may stay dead before
-// the run gives up (re-probing makes a transient full-fleet outage
-// survivable, but a wrong -endpoints list must still fail, not hang).
+// how many ReprobeMax periods the whole fleet may stay dead before the
+// run gives up (re-probing makes a transient full-fleet outage
+// survivable, but a wrong -endpoints list must still fail, not hang),
+// and the pause before a refused submission or an early-ended follow
+// stream is retried.
 const (
 	defaultShardsPerEndpoint = 4
 	defaultReprobe           = time.Second
 	defaultReprobeMax        = 30 * time.Second
 	probeTimeout             = 2 * time.Second
 	fleetDeadGraceFactor     = 4
+	retryDelay               = 500 * time.Millisecond
 )
 
 // Config describes one fan-out run.
@@ -144,8 +162,6 @@ type Config struct {
 	// CountCache, when set, names a sidecar codon-count cache file the
 	// ShareFrequencies pre-pass consults and updates (manifest.CountCache).
 	CountCache string
-	// Poll is the job status poll interval (default 500 ms).
-	Poll time.Duration
 	// MaxResubmits caps how often one shard may be resubmitted after
 	// daemon failures before the run fails. Zero means exactly that —
 	// fail on the first lost shard, no resubmission; a negative value
@@ -159,25 +175,16 @@ type Config struct {
 	// required against daemons running with tenancy on, ignored by
 	// daemons without it.
 	Token string
-	// DisableFollow turns off follow-mode result streaming and reverts
-	// to pure status polling. By default the coordinator follows each
-	// submitted job's results (GET .../results?follow=1), spooling rows
-	// as the daemon lands them; an endpoint that does not advertise the
-	// capability (an older daemon) automatically falls back to polling,
-	// so the flag exists for diagnosis, not compatibility.
-	DisableFollow bool
 
-	// Logf, when set, receives progress lines (endpoint deaths and
-	// re-admissions, resubmissions, appended shards).
-	Logf func(format string, args ...any)
-	// Log, when set, receives the same lifecycle transitions as
-	// structured events with shard/endpoint/job attributes (the
-	// coordinator analogue of serve.Config.Log). Nil discards them.
+	// Log, when set, receives the run's lifecycle transitions (endpoint
+	// deaths and re-admissions, submissions, resubmissions, merged
+	// shards) as structured events with shard/endpoint/job attributes —
+	// the coordinator analogue of serve.Config.Log. Nil discards them.
 	Log *slog.Logger
 	// Metrics, when set, receives the coordinator's shard-phase and
-	// endpoint-health gauges, resubmission counters and poll latency
-	// histogram — what slimcodemlx -metrics-addr exposes. Nil costs
-	// nothing.
+	// endpoint-health gauges, resubmission counters and status-call
+	// latency histogram — what slimcodemlx -metrics-addr exposes. Nil
+	// costs nothing.
 	Metrics *obs.Registry
 	// OnSubmitted and OnAppended, when set, observe shard lifecycle
 	// transitions — progress displays and tests hook in here.
@@ -238,34 +245,39 @@ type shardState struct {
 	endpoint  int // index into coord.eps while submitted
 	jobID     string
 	resubmits int
-	// spool is the local file the shard's results are downloaded to as
-	// soon as its job is done — before its in-order merge turn — so a
-	// daemon that purges or loses a finished job (retention sweep,
-	// crash) after this point costs nothing.
+	// spool is the local file the shard's results stream into while its
+	// job runs — complete before its in-order merge turn — so a daemon
+	// that purges or loses a finished job (retention sweep, crash) after
+	// this point costs nothing.
 	spool string
-	// follow is the shard's live result stream, when one is open; nil
-	// while the shard is polled classically.
+	// follow is the shard's live result stream, when one is open.
 	follow *followState
+	// retryAt, when set, holds the shard back: its next submission
+	// after a 503, or its next follow after a stream that ended before
+	// the job did.
+	retryAt time.Time
 }
 
-// followState tracks one shard's follow-mode result stream: a
-// goroutine copying the daemon's chunked JSONL into the spool file as
-// rows land. The coordinator's scheduling loop stays single-threaded —
-// the goroutine only writes the spool and reports once on done.
+// followState is one open follow stream: a goroutine copying the
+// daemon's chunked JSONL into the shard's spool as rows land. gen tells
+// its report apart from those of followers since stopped.
 type followState struct {
 	cancel context.CancelFunc
-	done   chan followResult // buffered; the follower sends exactly once
+	gen    int
 }
 
-// followResult is what a finished follower reports. followed=false
-// means the daemon never advertised the capability (an old daemon) and
-// the body was a bounded point-in-time snapshot, discarded in favor of
-// classic polling.
-type followResult struct {
-	followed bool
-	lines    int
-	err      error
+// followEnd is a follower's report on the coordinator's event channel:
+// which shard and follower, how many rows the stream carried, and why
+// it ended (nil: the daemon closed the stream).
+type followEnd struct {
+	shard, gen int
+	lines      int
+	err        error
 }
+
+// errNoFollow is a follower's report that the daemon answered without
+// the follow capability header — a build too old for this coordinator.
+var errNoFollow = errors.New("daemon does not stream results")
 
 // endpointState is one daemon, its health, and — while dead — its
 // re-probe schedule.
@@ -277,10 +289,6 @@ type endpointState struct {
 	// backoff, doubling after each failed probe up to Config.ReprobeMax.
 	probeAt time.Time
 	backoff time.Duration
-	// noFollow records that this daemon answered a follow request
-	// without the capability header (an older build): every later shard
-	// there is polled classically instead of re-discovering the gap.
-	noFollow bool
 }
 
 type coord struct {
@@ -300,12 +308,17 @@ type coord struct {
 	sum          Summary
 	met          *coordMetrics
 	log          *slog.Logger
-}
 
-func (c *coord) logf(format string, args ...any) {
-	if c.cfg.Logf != nil {
-		c.cfg.Logf(format, args...)
-	}
+	// events carries every follower's report; gen numbers followers.
+	events    chan followEnd
+	gen       int
+	followers sync.WaitGroup
+	// changes counts shard phase moves, merges and endpoint health
+	// flips: a round that made any is followed at once by another.
+	changes int
+	// wakeAt is the earliest deadline the current round left pending
+	// (zero: none) — how long the coordinator may sleep.
+	wakeAt time.Time
 }
 
 // Run executes (or resumes) a fan-out run and blocks until the merged
@@ -314,15 +327,17 @@ func (c *coord) logf(format string, args ...any) {
 // daemons, and rerunning the identical configuration adopts them.
 func Run(ctx context.Context, cfg Config) (*Summary, error) {
 	start := time.Now()
-	// Follower goroutines must die with the run, success or failure.
 	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	c, err := newCoord(ctx, cfg)
 	if err != nil {
+		cancel()
 		return nil, err
 	}
 	defer c.ledger.Close()
 	defer c.out.Close()
+	// Follower goroutines die with the run, success or failure.
+	defer c.followers.Wait()
+	defer cancel()
 
 	if err := c.adoptAssignments(ctx); err != nil {
 		return nil, err
@@ -332,31 +347,78 @@ func Run(ctx context.Context, cfg Config) (*Summary, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, c.interrupted(err)
 		}
-		if err := c.reprobeDead(ctx); err != nil {
-			return nil, err
-		}
-		if err := c.submitPending(ctx); err != nil {
-			return nil, err
-		}
-		if err := c.pollSubmitted(ctx); err != nil {
-			return nil, err
-		}
-		if err := c.appendReady(ctx); err != nil {
+		changes := c.changes
+		if err := c.round(ctx); err != nil {
 			return nil, err
 		}
 		// One consistent gauge refresh per scheduling round, after every
 		// phase transition this round made.
 		c.met.update(c)
-		if c.next == len(c.shards) {
-			break
-		}
-		select {
-		case <-ctx.Done():
-		case <-time.After(c.cfg.Poll):
+		if c.next < len(c.shards) && c.changes == changes {
+			if err := c.wait(ctx); err != nil {
+				return nil, err
+			}
 		}
 	}
 	c.sum.Runtime = time.Since(start)
 	return &c.sum, nil
+}
+
+// round is one scheduling pass: re-probe the dead endpoints that are
+// due, tend the submitted shards, submit queued ones, and merge
+// finished ones in order.
+func (c *coord) round(ctx context.Context) error {
+	c.wakeAt = time.Time{}
+	if err := c.reprobeDead(ctx); err != nil {
+		return err
+	}
+	if err := c.tendSubmitted(ctx); err != nil {
+		return err
+	}
+	if err := c.submitPending(ctx); err != nil {
+		return err
+	}
+	return c.appendReady(ctx)
+}
+
+// wait sleeps after a round that changed nothing, until a follower
+// reports (resolved here — followers block until then), the earliest
+// pending deadline falls due, or ctx is done.
+func (c *coord) wait(ctx context.Context) error {
+	var due <-chan time.Time
+	if !c.wakeAt.IsZero() {
+		t := time.NewTimer(time.Until(c.wakeAt))
+		defer t.Stop()
+		due = t.C
+	}
+	select {
+	case ev := <-c.events:
+		return c.followEnded(ctx, ev)
+	case <-due:
+	case <-ctx.Done():
+	}
+	return nil
+}
+
+// wakeBy makes the coordinator run a round no later than t. Whatever
+// arms a deadline, or skips work because a deadline has not come yet,
+// registers it here.
+func (c *coord) wakeBy(t time.Time) {
+	if c.wakeAt.IsZero() || t.Before(c.wakeAt) {
+		c.wakeAt = t
+	}
+}
+
+// setPhase moves a shard to a new phase and counts the change.
+func (c *coord) setPhase(st *shardState, phase int) {
+	st.phase = phase
+	c.changes++
+}
+
+// retryLater holds a shard back for retryDelay.
+func (c *coord) retryLater(st *shardState) {
+	st.retryAt = time.Now().Add(retryDelay)
+	c.wakeBy(st.retryAt)
 }
 
 // interrupted wraps a cancellation into the resume-instruction error
@@ -367,7 +429,7 @@ func (c *coord) interrupted(cause error) error {
 
 // cancelled classifies an error from an in-flight client call:
 // cancellation — the run context is done, or the call itself surfaced
-// a context error (SIGINT mid-poll, a caller-imposed deadline) — is a
+// a context error (SIGINT mid-call, a caller-imposed deadline) — is a
 // clean interruption, never endpoint death, and comes back wrapped
 // with resume instructions. nil means err is a genuine transport or
 // API failure the caller should handle as such.
@@ -418,9 +480,6 @@ func newCoord(ctx context.Context, cfg Config) (*coord, error) {
 	if cfg.ReprobeMax < cfg.Reprobe {
 		cfg.ReprobeMax = cfg.Reprobe
 	}
-	if cfg.Poll <= 0 {
-		cfg.Poll = 500 * time.Millisecond
-	}
 	if cfg.MaxResubmits < 0 {
 		cfg.MaxResubmits = 3
 	}
@@ -434,7 +493,7 @@ func newCoord(ctx context.Context, cfg Config) (*coord, error) {
 	}
 	cfg.Entries = entries
 
-	c := &coord{cfg: cfg, met: newCoordMetrics(cfg.Metrics), log: cfg.Log}
+	c := &coord{cfg: cfg, met: newCoordMetrics(cfg.Metrics), log: cfg.Log, events: make(chan followEnd)}
 	if c.log == nil {
 		c.log = obs.NopLogger()
 	}
@@ -559,7 +618,7 @@ func (c *coord) poolFrequencies(ctx context.Context, entries []manifest.Entry) (
 	if c.cfg.CountCache != "" {
 		src.WithCountCache(manifest.OpenCountCache(c.cfg.CountCache))
 	}
-	c.logf("fanout: pooling codon counts over %d genes for the shared frequency vector", len(entries))
+	c.log.Info("pooling codon counts for the shared frequency vector", "genes", len(entries))
 	return core.SharedFrequencies(ctx, src, core.Options{Freq: freq})
 }
 
@@ -635,15 +694,14 @@ func (c *coord) markDead(idx int, err error) {
 		return
 	}
 	ep.alive = false
+	c.changes++
 	c.met.epEvents.With("death").Inc()
 	c.log.Warn("endpoint stopped answering; excluded",
 		"endpoint", ep.url, "error", err, "reprobe", c.cfg.Reprobe >= 0)
-	if c.cfg.Reprobe < 0 {
-		c.logf("fanout: endpoint %s is not answering (%v); excluding it for the rest of the run", ep.url, err)
-	} else {
+	if c.cfg.Reprobe >= 0 {
 		ep.backoff = c.cfg.Reprobe
 		ep.probeAt = time.Now().Add(ep.backoff)
-		c.logf("fanout: endpoint %s is not answering (%v); excluding it until a re-probe succeeds", ep.url, err)
+		c.wakeBy(ep.probeAt)
 	}
 	if c.aliveCount() == 0 {
 		c.allDeadSince = time.Now()
@@ -660,7 +718,11 @@ func (c *coord) reprobeDead(ctx context.Context) error {
 	}
 	now := time.Now()
 	for _, ep := range c.eps {
-		if ep.alive || now.Before(ep.probeAt) {
+		if ep.alive {
+			continue
+		}
+		if now.Before(ep.probeAt) {
+			c.wakeBy(ep.probeAt)
 			continue
 		}
 		pctx, cancel := context.WithTimeout(ctx, probeTimeout)
@@ -671,9 +733,9 @@ func (c *coord) reprobeDead(ctx context.Context) error {
 			ep.backoff = 0
 			c.allDeadSince = time.Time{}
 			c.sum.Readmissions++
+			c.changes++
 			c.met.epEvents.With("readmission").Inc()
 			c.log.Info("endpoint answering again; re-admitted", "endpoint", ep.url)
-			c.logf("fanout: endpoint %s is answering again; re-admitting it", ep.url)
 			continue
 		}
 		// The probe's own deadline is not a run cancellation — only the
@@ -686,6 +748,7 @@ func (c *coord) reprobeDead(ctx context.Context) error {
 			ep.backoff = c.cfg.ReprobeMax
 		}
 		ep.probeAt = now.Add(ep.backoff)
+		c.wakeBy(ep.probeAt)
 	}
 	return nil
 }
@@ -693,28 +756,41 @@ func (c *coord) reprobeDead(ctx context.Context) error {
 // submitPending walks the shard queue and submits each pending
 // non-empty shard to an alive endpoint with free capacity, scanning
 // round-robin from the shard's own index so an idle fleet spreads
-// evenly. Shards beyond the fleet's capacity — or ones every candidate
-// refuses with 503 — stay queued for the next round. With the whole
-// fleet dead the run waits out the re-probe grace period, then fails.
+// evenly, and starts the shard's follower. Shards beyond the fleet's
+// capacity stay queued until a slot frees; one every endpoint refused
+// with 503 waits retryDelay. With the whole fleet dead the run waits out
+// the re-probe grace period, then fails.
 func (c *coord) submitPending(ctx context.Context) error {
+	now := time.Now()
 	for i := c.next; i < len(c.shards); i++ {
 		st := c.shards[i]
 		if st.phase != shardPending || len(st.entries) == 0 {
+			continue
+		}
+		if now.Before(st.retryAt) {
+			c.wakeBy(st.retryAt)
 			continue
 		}
 		if c.aliveCount() == 0 {
 			if c.cfg.Reprobe < 0 {
 				return fmt.Errorf("fanout: all %d endpoints are dead", len(c.eps))
 			}
-			if grace := fleetDeadGraceFactor * c.cfg.ReprobeMax; time.Since(c.allDeadSince) > grace {
+			grace := fleetDeadGraceFactor * c.cfg.ReprobeMax
+			if time.Since(c.allDeadSince) > grace {
 				return fmt.Errorf("fanout: all %d endpoints have stayed dead for over %s — rerun the identical command to resume once the fleet returns", len(c.eps), grace)
 			}
+			c.wakeBy(c.allDeadSince.Add(grace))
 			return nil // wait for a re-probe to re-admit someone
 		}
+		refused, busy := false, false
 		for off := 0; off < len(c.eps); off++ {
 			idx := (i + off) % len(c.eps)
 			ep := c.eps[idx]
-			if !ep.alive || c.inflight(idx) >= c.cfg.InFlight {
+			if !ep.alive {
+				continue
+			}
+			if c.inflight(idx) >= c.cfg.InFlight {
+				busy = true
 				continue
 			}
 			status, err := ep.client.Submit(ctx, c.shardSpec(st))
@@ -723,6 +799,7 @@ func (c *coord) submitPending(ctx context.Context) error {
 					return cerr
 				}
 				if serve.IsUnavailable(err) {
+					refused = true
 					continue // full queue or draining: try the next daemon
 				}
 				if !isAPIError(err) {
@@ -732,74 +809,106 @@ func (c *coord) submitPending(ctx context.Context) error {
 				// A 4xx is a spec problem every daemon will repeat.
 				return fmt.Errorf("fanout: shard %d refused by %s: %w", i, ep.url, err)
 			}
-			st.phase = shardSubmitted
+			c.setPhase(st, shardSubmitted)
 			st.endpoint = idx
 			st.jobID = status.ID
 			if err := c.ledger.AppendSubmit(checkpoint.ShardSubmit{Shard: i, Endpoint: ep.url, JobID: status.ID}); err != nil {
 				return err
 			}
-			if c.followEnabled(ep) {
-				c.startFollower(ctx, i)
-			}
+			c.startFollower(ctx, i)
 			c.log.Info("shard submitted",
 				"shard", i, "genes", len(st.entries), "endpoint", ep.url, "job", status.ID)
-			c.logf("fanout: shard %d/%d (%d genes) → %s as %s", i+1, len(c.shards), len(st.entries), ep.url, status.ID)
 			if c.cfg.OnSubmitted != nil {
 				c.cfg.OnSubmitted(i, ep.url, status.ID)
 			}
 			break
 		}
+		if refused && st.phase == shardPending {
+			if busy {
+				// A full endpoint takes the shard when one of its
+				// streams ends; the refusers are asked again at the
+				// retry pace.
+				c.wakeBy(now.Add(retryDelay))
+			} else {
+				c.retryLater(st) // every endpoint answered 503
+			}
+		}
 	}
 	return nil
 }
 
-// followEnabled reports whether a submitted shard on this endpoint
-// should stream its results instead of being polled.
-func (c *coord) followEnabled(ep *endpointState) bool {
-	return !c.cfg.DisableFollow && !ep.noFollow
+// tendSubmitted requeues the submitted shards whose endpoint died
+// (another call saw the failure first) and opens a new follow stream
+// for each one that lacks one once its retry delay has passed.
+func (c *coord) tendSubmitted(ctx context.Context) error {
+	now := time.Now()
+	for i := c.next; i < len(c.shards); i++ {
+		st := c.shards[i]
+		if st.phase != shardSubmitted {
+			continue
+		}
+		ep := c.eps[st.endpoint]
+		switch {
+		case !ep.alive:
+			if err := c.demote(i, fmt.Sprintf("endpoint %s died", ep.url)); err != nil {
+				return err
+			}
+		case st.follow != nil:
+			// Stream live: rows are flowing into the spool.
+		case now.Before(st.retryAt):
+			c.wakeBy(st.retryAt)
+		default:
+			c.startFollower(ctx, i)
+		}
+	}
+	return nil
 }
 
 // startFollower opens a follow-mode result stream for a submitted
 // shard: a goroutine that copies the daemon's chunked JSONL into the
 // shard's spool file as the daemon's checkpoint ledger lands each row,
-// and reports the row count when the stream ends. While a follower is
-// live the shard needs no status polls at all.
+// and reports on the event channel when the stream ends.
 func (c *coord) startFollower(ctx context.Context, i int) {
 	st := c.shards[i]
-	ep := c.eps[st.endpoint]
 	fctx, cancel := context.WithCancel(ctx)
-	fs := &followState{cancel: cancel, done: make(chan followResult, 1)}
-	st.follow = fs
+	c.gen++
+	gen := c.gen
+	st.follow = &followState{cancel: cancel, gen: gen}
+	st.retryAt = time.Time{}
 	c.met.follows.With("started").Inc()
-	client, jobID, spool := ep.client, st.jobID, st.spool
+	client, jobID, spool := c.eps[st.endpoint].client, st.jobID, st.spool
+	c.followers.Add(1)
 	go func() {
-		rc, followed, err := client.FollowResults(fctx, jobID, 0)
-		if err != nil {
-			fs.done <- followResult{err: err}
-			return
+		defer c.followers.Done()
+		lines, err := follow(fctx, client, jobID, spool)
+		select {
+		case c.events <- followEnd{shard: i, gen: gen, lines: lines, err: err}:
+		case <-fctx.Done(): // stopped, or the run is over
 		}
-		// Either a live stream or — from an old daemon that ignored the
-		// follow parameter — a bounded point-in-time snapshot. Both are
-		// spooled: a snapshot that turns out complete (the job was
-		// already done) is the shard's results, no refetch needed.
-		f, err := os.Create(spool)
-		if err != nil {
-			rc.Close()
-			fs.done <- followResult{followed: followed, err: err}
-			return
-		}
-		lc := &lineCounter{w: f}
-		_, err = io.Copy(lc, rc)
-		rc.Close()
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		fs.done <- followResult{followed: followed, lines: lc.lines, err: err}
 	}()
 }
 
-// stopFollower cancels a shard's follower, if any. The follower's
-// pending result (it sends exactly once, buffered) is discarded.
+// follow streams one job's results into spool, returning the rows
+// received. A daemon that answers without the follow capability header
+// is reported as errNoFollow.
+func follow(ctx context.Context, client *serve.Client, jobID, spool string) (int, error) {
+	rc, followed, err := client.FollowResults(ctx, jobID, 0)
+	if err != nil {
+		return 0, err
+	}
+	defer rc.Close()
+	if !followed {
+		return 0, errNoFollow
+	}
+	f, err := os.Create(spool)
+	if err != nil {
+		return 0, err
+	}
+	return spoolCopy(f, rc)
+}
+
+// stopFollower cancels a shard's follower, if any; its report, should
+// it still arrive, no longer matches and is dropped.
 func (c *coord) stopFollower(st *shardState) {
 	if st.follow != nil {
 		st.follow.cancel()
@@ -807,32 +916,39 @@ func (c *coord) stopFollower(st *shardState) {
 	}
 }
 
+// followEnded resolves one follower's report, dropping it when the
+// follower has since been stopped.
+func (c *coord) followEnded(ctx context.Context, ev followEnd) error {
+	st := c.shards[ev.shard]
+	if st.follow == nil || st.follow.gen != ev.gen {
+		return nil
+	}
+	c.stopFollower(st)
+	return c.finishFollow(ctx, ev.shard, ev)
+}
+
 // finishFollow resolves a completed follow stream. The stream ending
 // is not authoritative on its own — the job's state is — so one status
-// round trip classifies it: done with a full row count makes the spool
-// the shard's results; a non-terminal state means the stream was cut
-// early (daemon restart mid-job) and the shard re-follows; failures
-// demote the shard exactly like their polling counterparts.
-func (c *coord) finishFollow(ctx context.Context, i int, res followResult) error {
+// round trip classifies it: done makes the spool the shard's results; a
+// non-terminal state means the stream was cut early (daemon restart
+// mid-job) and the shard re-follows after retryDelay; failures send the
+// shard back to the queue.
+func (c *coord) finishFollow(ctx context.Context, i int, res followEnd) error {
 	st := c.shards[i]
 	ep := c.eps[st.endpoint]
 	if res.err != nil {
 		if cerr := c.cancelled(ctx, res.err); cerr != nil {
 			return cerr
 		}
-		os.Remove(st.spool)
+		if errors.Is(res.err, errNoFollow) {
+			return fmt.Errorf("fanout: shard %d: %s answered a follow request without the X-Slimcodemld-Follow header — upgrade the daemon", i, ep.url)
+		}
 		if !isAPIError(res.err) {
 			c.markDead(st.endpoint, res.err)
 			return c.demote(i, fmt.Sprintf("follow stream of job %s broke: %v", st.jobID, res.err))
 		}
 		// e.g. the daemon purged the job mid-stream.
 		return c.demote(i, fmt.Sprintf("follow of job %s refused by %s: %v", st.jobID, ep.url, res.err))
-	}
-	if !res.followed && !ep.noFollow {
-		ep.noFollow = true
-		c.met.follows.With("fallback").Inc()
-		c.log.Info("endpoint lacks follow support; polling instead", "endpoint", ep.url)
-		c.logf("fanout: endpoint %s lacks follow support; falling back to status polling", ep.url)
 	}
 	t0 := time.Now()
 	status, err := ep.client.JobStatus(ctx, st.jobID)
@@ -841,7 +957,6 @@ func (c *coord) finishFollow(ctx context.Context, i int, res followResult) error
 		if cerr := c.cancelled(ctx, err); cerr != nil {
 			return cerr
 		}
-		os.Remove(st.spool)
 		if !isAPIError(err) {
 			c.markDead(st.endpoint, err)
 			return c.demote(i, fmt.Sprintf("endpoint %s died", ep.url))
@@ -849,114 +964,29 @@ func (c *coord) finishFollow(ctx context.Context, i int, res followResult) error
 		if serve.IsNotFound(err) {
 			return c.demote(i, fmt.Sprintf("job %s lost by %s", st.jobID, ep.url))
 		}
-		return nil // transient server hiccup: re-follow next round
+		c.retryLater(st) // transient server hiccup: re-follow
+		return nil
 	}
 	switch status.State {
 	case serve.StateDone:
 		if res.lines != len(st.entries) {
-			os.Remove(st.spool)
-			if res.followed {
-				// A completed follow stream of a done job must carry
-				// every row — anything else is corruption, not timing.
-				return fmt.Errorf("fanout: job %s streamed %d rows for a %d-gene shard", st.jobID, res.lines, len(st.entries))
-			}
-			// A short snapshot just predates completion: refetch.
+			// The stream was cut before the job finished and the daemon
+			// finished it before this status call (a quick restart):
+			// fetch the results whole.
 			return c.spoolShard(ctx, i)
 		}
-		st.phase = shardJobDone
-		return nil
+		c.setPhase(st, shardJobDone)
 	case serve.StateFailed:
-		os.Remove(st.spool)
 		return c.demote(i, fmt.Sprintf("job failed on %s: %s", ep.url, status.Error))
 	case serve.StateCancelled:
-		os.Remove(st.spool)
 		return c.demote(i, fmt.Sprintf("job cancelled on %s", ep.url))
 	default:
-		// Cut before the job finished (daemon restarted mid-job, say).
-		// Restart the stream from scratch — the spool is re-created.
-		os.Remove(st.spool)
-		if c.followEnabled(ep) {
-			c.startFollower(ctx, i)
-		}
-		return nil
-	}
-}
-
-// pollSubmitted advances every submitted shard: done jobs become
-// appendable, lost jobs and dead daemons send the shard back to the
-// queue, and a job the daemon reports failed consumes one resubmission
-// attempt (so deterministic failures stop the run). A shard with a
-// live follower is not polled — its stream reports completion instead.
-func (c *coord) pollSubmitted(ctx context.Context) error {
-	for i := c.next; i < len(c.shards); i++ {
-		st := c.shards[i]
-		if st.phase != shardSubmitted {
-			continue
-		}
-		ep := c.eps[st.endpoint]
-		if st.follow != nil && ep.alive {
-			select {
-			case res := <-st.follow.done:
-				c.stopFollower(st)
-				if err := c.finishFollow(ctx, i, res); err != nil {
-					return err
-				}
-			default:
-				// Stream still live: rows are flowing into the spool.
-			}
-			continue
-		}
-		if !ep.alive {
-			// The endpoint died while this shard was submitted (another
-			// shard's call saw the failure first): requeue without
-			// burning an HTTP round trip on a known-dead daemon.
-			if err := c.demote(i, fmt.Sprintf("endpoint %s died", ep.url)); err != nil {
-				return err
-			}
-			continue
-		}
-		t0 := time.Now()
-		status, err := ep.client.JobStatus(ctx, st.jobID)
-		c.met.observePoll(time.Since(t0))
-		if err != nil {
-			if cerr := c.cancelled(ctx, err); cerr != nil {
-				return cerr
-			}
-			reason := fmt.Sprintf("job %s lost by %s", st.jobID, ep.url)
-			if !isAPIError(err) {
-				c.markDead(st.endpoint, err)
-				reason = fmt.Sprintf("endpoint %s died", ep.url)
-			} else if !serve.IsNotFound(err) {
-				continue // transient server hiccup: poll again next round
-			}
-			if err := c.demote(i, reason); err != nil {
-				return err
-			}
-			continue
-		}
-		switch status.State {
-		case serve.StateDone:
-			// Download the results immediately — before this shard's
-			// in-order merge turn — so a daemon that purges (-retain),
-			// loses or outlives a finished job afterwards costs
-			// nothing. spoolShard demotes the shard itself on failure.
-			if err := c.spoolShard(ctx, i); err != nil {
-				return err
-			}
-		case serve.StateFailed:
-			if err := c.demote(i, fmt.Sprintf("job failed on %s: %s", ep.url, status.Error)); err != nil {
-				return err
-			}
-		case serve.StateCancelled:
-			if err := c.demote(i, fmt.Sprintf("job cancelled on %s", ep.url)); err != nil {
-				return err
-			}
-		default:
-			// queued / running / interrupted: keep waiting. An
-			// interrupted job resumes when its daemon restarts; if the
-			// daemon instead stays down, the poll soon fails with a
-			// transport error and the shard is requeued.
-		}
+		// queued / running / interrupted: cut before the job finished.
+		// Follow again from scratch — the spool is re-created. An
+		// interrupted job resumes when its daemon restarts; if the daemon
+		// instead stays down, the next follow fails with a transport
+		// error and the shard is requeued.
+		c.retryLater(st)
 	}
 	return nil
 }
@@ -967,15 +997,15 @@ func (c *coord) pollSubmitted(ctx context.Context) error {
 func (c *coord) demote(shard int, reason string) error {
 	st := c.shards[shard]
 	c.stopFollower(st)
-	st.phase = shardPending
+	os.Remove(st.spool)
+	c.setPhase(st, shardPending)
 	st.jobID = ""
+	st.retryAt = time.Time{}
 	st.resubmits++
 	c.sum.Resubmits++
 	c.met.resubmits.Inc()
 	c.log.Warn("shard needs resubmission",
 		"shard", shard, "reason", reason, "attempt", st.resubmits, "budget", c.cfg.MaxResubmits)
-	c.logf("fanout: shard %d/%d needs resubmission (%s; attempt %d of %d)",
-		shard+1, len(c.shards), reason, st.resubmits, c.cfg.MaxResubmits)
 	if st.resubmits > c.cfg.MaxResubmits {
 		return fmt.Errorf("fanout: shard %d failed %d times, last: %s", shard, st.resubmits, reason)
 	}
@@ -983,9 +1013,9 @@ func (c *coord) demote(shard int, reason string) error {
 }
 
 // adoptAssignments probes the ledger's recorded jobs so a resumed
-// coordinator keeps polling still-live daemon jobs instead of starting
-// them over. A job the daemon no longer knows (or a daemon that is
-// gone) sends the shard back to the queue.
+// coordinator follows still-live daemon jobs instead of starting them
+// over. A job the daemon no longer knows (or a daemon that is gone)
+// sends the shard back to the queue.
 func (c *coord) adoptAssignments(ctx context.Context) error {
 	for i := c.next; i < len(c.shards); i++ {
 		st := c.shards[i]
@@ -1008,12 +1038,13 @@ func (c *coord) adoptAssignments(ctx context.Context) error {
 		case sameJob && (status.State == serve.StateQueued || status.State == serve.StateRunning ||
 			status.State == serve.StateInterrupted):
 			c.sum.Adopted++
-			c.logf("fanout: shard %d/%d: adopted job %s on %s (%s, %d/%d genes)",
-				i+1, len(c.shards), st.jobID, ep.url, status.State, status.Done, status.Total)
+			c.log.Info("adopted job", "shard", i, "endpoint", ep.url, "job", st.jobID,
+				"state", status.State, "done", status.Done, "total", status.Total)
+			c.startFollower(ctx, i)
 		case sameJob && status.State == serve.StateDone:
 			st.phase = shardJobDone
 			c.sum.Adopted++
-			c.logf("fanout: shard %d/%d: adopted finished job %s on %s", i+1, len(c.shards), st.jobID, ep.url)
+			c.log.Info("adopted finished job", "shard", i, "endpoint", ep.url, "job", st.jobID)
 		case err == nil || serve.IsNotFound(err):
 			// Failed, cancelled, or forgotten: run it again.
 			st.phase = shardPending
@@ -1023,9 +1054,9 @@ func (c *coord) adoptAssignments(ctx context.Context) error {
 				return cerr
 			}
 			if isAPIError(err) {
-				// A transient server-side error: keep the assignment;
-				// the main poll loop retries it rather than orphaning
-				// a possibly near-done job.
+				// A transient server-side error: keep the assignment; the
+				// first round follows the job rather than orphaning a
+				// possibly near-done one.
 				continue
 			}
 			c.markDead(st.endpoint, err)
@@ -1053,28 +1084,35 @@ func (c *coord) spoolShard(ctx context.Context, i int) error {
 			rc.Close()
 			return fmt.Errorf("fanout: %w", err)
 		}
-		lc := &lineCounter{w: f}
-		_, err = io.Copy(lc, rc)
+		var lines int
+		lines, err = spoolCopy(f, rc)
 		rc.Close()
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
 		if err == nil {
-			if lc.lines != len(st.entries) {
-				return fmt.Errorf("fanout: job %s returned %d rows for a %d-gene shard", st.jobID, lc.lines, len(st.entries))
+			if lines != len(st.entries) {
+				return fmt.Errorf("fanout: job %s returned %d rows for a %d-gene shard", st.jobID, lines, len(st.entries))
 			}
-			st.phase = shardJobDone
+			c.setPhase(st, shardJobDone)
 			return nil
 		}
 	}
 	if cerr := c.cancelled(ctx, err); cerr != nil {
 		return cerr
 	}
-	os.Remove(st.spool)
 	if !isAPIError(err) {
 		c.markDead(st.endpoint, err)
 	}
 	return c.demote(i, fmt.Sprintf("results of job %s unavailable: %v", st.jobID, err))
+}
+
+// spoolCopy copies a result stream into a freshly created spool file,
+// closes it, and counts the rows.
+func spoolCopy(f *os.File, r io.Reader) (int, error) {
+	lc := &lineCounter{w: f}
+	_, err := io.Copy(lc, r)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return lc.lines, err
 }
 
 // appendReady merges completed shards into the output, strictly in
@@ -1096,6 +1134,7 @@ func (c *coord) appendReady(ctx context.Context) error {
 				c.cfg.OnAppended(c.next, c.offset)
 			}
 			c.next++
+			c.changes++
 			continue
 		}
 		if st.phase != shardJobDone {
@@ -1133,8 +1172,6 @@ func (c *coord) appendReady(ctx context.Context) error {
 		}
 		c.log.Info("shard merged",
 			"shard", c.next, "genes", len(st.entries), "output_bytes", c.offset)
-		c.logf("fanout: shard %d/%d merged (%d genes, output now %d bytes)",
-			c.next+1, len(c.shards), len(st.entries), c.offset)
 		if c.cfg.OnAppended != nil {
 			c.cfg.OnAppended(c.next, c.offset)
 		}
@@ -1142,10 +1179,12 @@ func (c *coord) appendReady(ctx context.Context) error {
 		if c.cfg.Purge {
 			ep := c.eps[st.endpoint]
 			if err := ep.client.Purge(ctx, st.jobID); err != nil && ctx.Err() == nil {
-				c.logf("fanout: purge of job %s on %s failed: %v (retention will catch it)", st.jobID, ep.url, err)
+				c.log.Warn("purge failed; the daemon's retention will catch it",
+					"shard", c.next, "endpoint", ep.url, "job", st.jobID, "error", err)
 			}
 		}
 		c.next++
+		c.changes++
 	}
 	return nil
 }

@@ -92,11 +92,19 @@ type daemon struct {
 
 func startDaemon(t *testing.T, maxActive int) *daemon {
 	t.Helper()
+	return startCachingDaemon(t, maxActive, "")
+}
+
+// startCachingDaemon starts a daemon with a fresh data directory over
+// the given cross-run cache directory ("" for none).
+func startCachingDaemon(t *testing.T, maxActive int, cacheDir string) *daemon {
+	t.Helper()
 	srv, err := serve.New(serve.Config{
 		DataDir:     t.TempDir(),
 		PoolWorkers: 1,
 		MaxActive:   maxActive,
 		QueueDepth:  16,
+		CacheDir:    cacheDir,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +151,6 @@ func TestFanoutParityAcrossDaemons(t *testing.T) {
 		Endpoints: eps,
 		OutPath:   outPath,
 		Spec:      testSpec,
-		Poll:      20 * time.Millisecond,
 		Purge:     true,
 	})
 	if err != nil {
@@ -185,7 +192,6 @@ func TestFanoutEmptyShards(t *testing.T) {
 		Shards:    4,
 		OutPath:   outPath,
 		Spec:      testSpec,
-		Poll:      20 * time.Millisecond,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +217,6 @@ func TestFanoutCoordinatorKillResume(t *testing.T) {
 		Shards:    3,
 		OutPath:   outPath,
 		Spec:      testSpec,
-		Poll:      20 * time.Millisecond,
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -252,7 +257,6 @@ func TestFanoutResumeRefusesChangedOptions(t *testing.T) {
 		Endpoints: []string{d.ts.URL},
 		OutPath:   outPath,
 		Spec:      testSpec,
-		Poll:      20 * time.Millisecond,
 	}
 	if _, err := fanout.Run(context.Background(), cfg); err != nil {
 		t.Fatal(err)
@@ -279,7 +283,6 @@ func TestFanoutDaemonKilledMidRun(t *testing.T) {
 		Shards:       2,
 		OutPath:      outPath,
 		Spec:         testSpec,
-		Poll:         20 * time.Millisecond,
 		MaxResubmits: 3,
 		OnSubmitted: func(shard int, endpoint, jobID string) {
 			// As soon as shard 1 lands on daemon 1, take daemon 1 down —
@@ -307,5 +310,48 @@ func TestFanoutDaemonKilledMidRun(t *testing.T) {
 	}
 	if want := expectedJSONL(t, entries, testOpts()); !bytes.Equal(got, want) {
 		t.Fatalf("post-kill fan-out output diverges\ngot:  %q\nwant: %q", got, want)
+	}
+}
+
+// With coordinator defaults, a fan-out whose shards finish at once
+// (every gene replayed from the daemons' warm cache) merges as fast as
+// the daemons deliver: the coordinator wakes on each stream's end
+// instead of sleeping between scheduling rounds.
+func TestFanoutCachedShardsMergeWithoutWaiting(t *testing.T) {
+	entries := simManifest(t, 8, 5000)
+	cacheDir := t.TempDir()
+	run := func() ([]byte, time.Duration) {
+		// Fresh daemons and output each time; only the cache is shared.
+		eps := []string{startCachingDaemon(t, 1, cacheDir).ts.URL, startCachingDaemon(t, 1, cacheDir).ts.URL}
+		outPath := filepath.Join(t.TempDir(), "merged.jsonl")
+		sum, err := fanout.Run(context.Background(), fanout.Config{
+			Entries:   entries,
+			Endpoints: eps,
+			OutPath:   outPath,
+			Spec:      testSpec,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum.Shards != 8 {
+			t.Fatalf("summary %+v, want the default 8 shards over 2 endpoints", sum)
+		}
+		got, err := os.ReadFile(outPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got, sum.Runtime
+	}
+	cold, _ := run()
+	warm, took := run()
+	if !bytes.Equal(warm, cold) {
+		t.Fatal("replayed fan-out output diverges from the cold run")
+	}
+	if want := expectedJSONL(t, entries, testOpts()); !bytes.Equal(warm, want) {
+		t.Fatalf("fan-out output diverges from standalone run\ngot:  %q\nwant: %q", warm, want)
+	}
+	t.Logf("warm fan-out: %s", took)
+	if took >= time.Second {
+		t.Fatalf("8 cache-replayed shards took %s to merge, want under 1 s", took)
 	}
 }

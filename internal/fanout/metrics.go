@@ -21,7 +21,7 @@ type coordMetrics struct {
 	resubmits   *obs.Counter
 	outputBytes *obs.Gauge
 	pollSeconds *obs.Histogram
-	follows     *obs.CounterVec // event: started | fallback
+	follows     *obs.CounterVec // event: started
 }
 
 func newCoordMetrics(r *obs.Registry) *coordMetrics {
@@ -39,9 +39,9 @@ func newCoordMetrics(r *obs.Registry) *coordMetrics {
 		outputBytes: r.Gauge("slimcodemlx_output_bytes",
 			"Durable size of the merged output file."),
 		pollSeconds: r.Histogram("slimcodemlx_poll_seconds",
-			"Round-trip latency of one job-status poll against a daemon.", nil),
+			"Round-trip latency of one job-status call against a daemon (made when a follow stream ends).", nil),
 		follows: r.CounterVec("slimcodemlx_follow_streams_total",
-			"Follow-mode result streams (started: stream opened; fallback: endpoint lacked the capability and reverted to polling).", "event"),
+			"Follow-mode result streams (started: stream opened).", "event"),
 	}
 }
 

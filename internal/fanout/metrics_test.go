@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/fanout"
 	"repro/internal/obs"
@@ -63,7 +62,6 @@ func TestFanoutMetricsAndEvents(t *testing.T) {
 		Shards:       2,
 		OutPath:      outPath,
 		Spec:         serve.JobSpec{MaxIter: 1, Seed: 1},
-		Poll:         5 * time.Millisecond,
 		Reprobe:      -1, // keep the dead endpoint dead: no readmission races
 		MaxResubmits: 3,
 		Metrics:      reg,

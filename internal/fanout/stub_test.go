@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -38,7 +39,7 @@ type stubJob struct {
 // coordinator. ready decides when a job reports done; reject503 makes
 // every submission answer 503 (a perpetually full queue); failJobs
 // makes every job report failed (a deterministic job-level failure);
-// statusDelay stalls each status answer (a slow poll to cancel into).
+// statusDelay stalls each status answer (a slow call to cancel into).
 type stubDaemon struct {
 	mu          sync.Mutex
 	nextID      int
@@ -51,8 +52,14 @@ type stubDaemon struct {
 	failJobs    bool
 	// noFollow reverts the results endpoint to pre-follow behavior — no
 	// capability header, an immediate bounded body even for ?follow=1 —
-	// impersonating an old daemon for the fallback path.
+	// impersonating an old daemon.
 	noFollow bool
+	// cutFollow ends every follow stream of a job that is not ready at
+	// once, empty — a stream cut while the job runs on.
+	cutFollow bool
+	// pendingState is what a job that is not ready reports (default
+	// running).
+	pendingState string
 	// failFirst makes exactly one status poll (the first to arrive)
 	// report failed, then clears itself — a deterministic single
 	// job-level failure for exercising the resubmission path.
@@ -111,6 +118,9 @@ func (d *stubDaemon) handler() http.Handler {
 			return
 		}
 		state := serve.StateRunning
+		if d.pendingState != "" {
+			state = d.pendingState
+		}
 		switch {
 		case d.failJobs:
 			state = serve.StateFailed
@@ -153,9 +163,13 @@ func (d *stubDaemon) handler() http.Handler {
 		for {
 			d.mu.Lock()
 			ready := d.failJobs || d.ready(d, id)
+			cut := d.cutFollow
 			d.mu.Unlock()
 			if ready {
 				break
+			}
+			if cut {
+				return
 			}
 			select {
 			case <-r.Context().Done():
@@ -254,7 +268,6 @@ func TestFanoutOutOfOrderCompletion(t *testing.T) {
 		Shards:    3, // one shard per stub so the completion gating is exact
 		OutPath:   outPath,
 		Spec:      serve.JobSpec{MaxIter: 1, Seed: 1},
-		Poll:      5 * time.Millisecond,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +319,7 @@ func followCount(t *testing.T, reg *obs.Registry, event string) float64 {
 
 // Against a follow-capable daemon the coordinator streams instead of
 // polling: one results fetch and exactly one status round trip (the
-// end-of-stream classification) per job, with zero fallbacks.
+// end-of-stream classification) per job.
 func TestFanoutFollowReplacesPolling(t *testing.T) {
 	stub := newStubDaemon()
 	ts := httptest.NewServer(stub.handler())
@@ -321,7 +334,6 @@ func TestFanoutFollowReplacesPolling(t *testing.T) {
 		Shards:    2,
 		OutPath:   outPath,
 		Spec:      serve.JobSpec{MaxIter: 1, Seed: 1},
-		Poll:      5 * time.Millisecond,
 		Metrics:   reg,
 	}); err != nil {
 		t.Fatal(err)
@@ -346,59 +358,74 @@ func TestFanoutFollowReplacesPolling(t *testing.T) {
 	if got := followCount(t, reg, "started"); got != float64(jobs) {
 		t.Fatalf("follow_streams_total{event=started} = %g, want %d", got, jobs)
 	}
-	if got := followCount(t, reg, "fallback"); got != 0 {
-		t.Fatalf("follow_streams_total{event=fallback} = %g, want 0", got)
-	}
 }
 
-// Against an old daemon that ignores ?follow=1 the coordinator detects
-// the missing capability header, records one fallback, memoizes the
-// endpoint as no-follow, and still completes by classic polling — and
-// when the snapshot the probe got back turns out complete (the job was
-// already done), it is used as the spool, so no row crosses the wire
-// twice even on the fallback path.
-func TestFanoutFollowFallsBackToPolling(t *testing.T) {
+// A daemon that ignores ?follow=1 (no capability header) is too old
+// for the coordinator: the run fails at once, naming the endpoint and
+// asking for an upgrade, instead of polling or resubmitting.
+func TestFanoutRefusesDaemonWithoutFollow(t *testing.T) {
 	stub := newStubDaemon()
 	stub.noFollow = true
 	ts := httptest.NewServer(stub.handler())
 	defer ts.Close()
 
-	reg := obs.NewRegistry()
-	outPath := filepath.Join(t.TempDir(), "merged.jsonl")
-	entries := stubEntries(t, 6)
-	if _, err := fanout.Run(context.Background(), fanout.Config{
-		Entries:   entries,
+	_, err := fanout.Run(context.Background(), fanout.Config{
+		Entries:   stubEntries(t, 4),
 		Endpoints: []string{ts.URL},
 		Shards:    2,
-		OutPath:   outPath,
+		OutPath:   filepath.Join(t.TempDir(), "merged.jsonl"),
 		Spec:      serve.JobSpec{MaxIter: 1, Seed: 1},
-		Poll:      5 * time.Millisecond,
-		Metrics:   reg,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i, e := range entries {
-		if names := mergedNames(t, outPath); names[i] != e.Name {
-			t.Fatalf("merged row %d is %s, want %s", i, names[i], e.Name)
-		}
+	})
+	if err == nil || !strings.Contains(err.Error(), "upgrade the daemon") || !strings.Contains(err.Error(), ts.URL) {
+		t.Fatalf("run against a daemon without follow support: %v, want an upgrade-the-daemon error naming %s", err, ts.URL)
 	}
 	stub.mu.Lock()
-	fetched := map[string]int{}
-	for _, id := range stub.fetched {
-		fetched[id]++
+	defer stub.mu.Unlock()
+	if stub.submits != 1 {
+		t.Fatalf("%d submissions, want exactly 1 (no resubmission to an old daemon)", stub.submits)
 	}
-	jobs := len(stub.jobs)
-	stub.mu.Unlock()
-	if jobs != 2 {
-		t.Fatalf("daemon ran %d jobs, want 2", jobs)
-	}
-	for id, n := range fetched {
-		if n != 1 {
-			t.Fatalf("job %s's results fetched %d times, want exactly 1", id, n)
-		}
-	}
-	if got := followCount(t, reg, "fallback"); got != 1 {
-		t.Fatalf("follow_streams_total{event=fallback} = %g, want exactly 1 (memoized per endpoint)", got)
+}
+
+// A follow stream that ends while its job is still running (or
+// interrupted, waiting for its daemon to restart) is re-followed — but
+// at most once per retry delay (500 ms), never in a hot loop.
+func TestFanoutRefollowIsPaced(t *testing.T) {
+	for _, state := range []string{serve.StateRunning, serve.StateInterrupted} {
+		t.Run(state, func(t *testing.T) {
+			stub := newStubDaemon()
+			stub.ready = func(*stubDaemon, string) bool { return false }
+			stub.cutFollow = true
+			stub.pendingState = state
+			ts := httptest.NewServer(stub.handler())
+			defer ts.Close()
+
+			const window = 2 * time.Second
+			ctx, cancel := context.WithTimeout(context.Background(), window)
+			defer cancel()
+			_, err := fanout.Run(ctx, fanout.Config{
+				Entries:   stubEntries(t, 2),
+				Endpoints: []string{ts.URL},
+				Shards:    1,
+				OutPath:   filepath.Join(t.TempDir(), "merged.jsonl"),
+				Spec:      serve.JobSpec{MaxIter: 1, Seed: 1},
+			})
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("run against a job that never finishes: %v, want the deadline", err)
+			}
+			stub.mu.Lock()
+			follows, submits, statusCalls := len(stub.fetched), stub.submits, stub.statusCalls
+			stub.mu.Unlock()
+			if submits != 1 {
+				t.Fatalf("%d submissions, want 1: an unfinished job is re-followed, not resubmitted", submits)
+			}
+			if statusCalls > follows {
+				t.Fatalf("%d status calls for %d follow streams, want at most one per stream end", statusCalls, follows)
+			}
+			// One follow at submission plus at most one per 500 ms after.
+			if follows < 2 || follows > 1+int(window/(500*time.Millisecond)) {
+				t.Fatalf("%d follow requests in %s, want 2..%d", follows, window, 1+int(window/(500*time.Millisecond)))
+			}
+		})
 	}
 }
 
@@ -432,7 +459,6 @@ func TestFanoutRoutesAround503AndConnRefused(t *testing.T) {
 		Shards:    3,
 		OutPath:   outPath,
 		Spec:      serve.JobSpec{MaxIter: 1, Seed: 1},
-		Poll:      5 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -461,20 +487,37 @@ func TestFanoutRoutesAround503AndConnRefused(t *testing.T) {
 	}
 }
 
+// recordingHandler is a slog.Handler that keeps every event's message,
+// for tests that assert on what the coordinator logged.
+type recordingHandler struct {
+	mu   sync.Mutex
+	msgs []string
+}
+
+func (h *recordingHandler) Enabled(context.Context, slog.Level) bool { return true }
+func (h *recordingHandler) WithAttrs([]slog.Attr) slog.Handler       { return h }
+func (h *recordingHandler) WithGroup(string) slog.Handler            { return h }
+func (h *recordingHandler) Handle(_ context.Context, r slog.Record) error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.msgs = append(h.msgs, r.Message)
+	return nil
+}
+
 // Cancellation is not endpoint death: interrupting the coordinator
-// while a status poll is in flight must exit cleanly with the resume
+// while a status call is in flight must exit cleanly with the resume
 // instruction wrapping context.Canceled — not mark the daemon dead,
 // not burn a resubmission.
 func TestFanoutCancellationIsNotEndpointDeath(t *testing.T) {
 	entries := stubEntries(t, 2)
 	stub := newStubDaemon()
 	stub.ready = func(*stubDaemon, string) bool { return false } // never finishes
+	stub.cutFollow = true                                        // so the stream's end triggers a status call
 	stub.statusDelay = 300 * time.Millisecond
 	ts := httptest.NewServer(stub.handler())
 	defer ts.Close()
 
-	var logMu sync.Mutex
-	var logs []string
+	events := &recordingHandler{}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	_, err := fanout.Run(ctx, fanout.Config{
@@ -483,14 +526,9 @@ func TestFanoutCancellationIsNotEndpointDeath(t *testing.T) {
 		Shards:    1,
 		OutPath:   filepath.Join(t.TempDir(), "merged.jsonl"),
 		Spec:      serve.JobSpec{MaxIter: 1, Seed: 1},
-		Poll:      5 * time.Millisecond,
-		Logf: func(format string, args ...any) {
-			logMu.Lock()
-			logs = append(logs, fmt.Sprintf(format, args...))
-			logMu.Unlock()
-		},
+		Log:       slog.New(events),
 		OnSubmitted: func(shard int, endpoint, jobID string) {
-			// Cancel while the first (stalled) status poll is in flight.
+			// Cancel while the first (stalled) status call is in flight.
 			time.AfterFunc(50*time.Millisecond, cancel)
 		},
 	})
@@ -509,11 +547,11 @@ func TestFanoutCancellationIsNotEndpointDeath(t *testing.T) {
 	if submits != 1 {
 		t.Fatalf("cancelled run submitted %d times, want exactly 1 (no resubmission)", submits)
 	}
-	logMu.Lock()
-	defer logMu.Unlock()
-	for _, line := range logs {
-		if strings.Contains(line, "excluding") || strings.Contains(line, "resubmission") {
-			t.Fatalf("cancellation was misclassified as endpoint failure: %q", line)
+	events.mu.Lock()
+	defer events.mu.Unlock()
+	for _, msg := range events.msgs {
+		if strings.Contains(msg, "excluded") || strings.Contains(msg, "resubmission") {
+			t.Fatalf("cancellation was misclassified as endpoint failure: %q", msg)
 		}
 	}
 }
@@ -534,7 +572,6 @@ func TestFanoutZeroResubmitsFailsFast(t *testing.T) {
 			Shards:       1,
 			OutPath:      filepath.Join(t.TempDir(), "merged.jsonl"),
 			Spec:         serve.JobSpec{MaxIter: 1, Seed: 1},
-			Poll:         time.Millisecond,
 			MaxResubmits: maxResubmits,
 		})
 		stub.mu.Lock()
@@ -594,7 +631,6 @@ func TestFanoutReprobeReadmitsColdEndpoint(t *testing.T) {
 		Shards:     1,
 		OutPath:    outPath,
 		Spec:       serve.JobSpec{MaxIter: 1, Seed: 1},
-		Poll:       5 * time.Millisecond,
 		Reprobe:    20 * time.Millisecond,
 		ReprobeMax: 500 * time.Millisecond,
 	})
@@ -630,7 +666,6 @@ func TestFanoutReprobeDisabledFailsFast(t *testing.T) {
 		Shards:    1,
 		OutPath:   filepath.Join(t.TempDir(), "merged.jsonl"),
 		Spec:      serve.JobSpec{MaxIter: 1, Seed: 1},
-		Poll:      time.Millisecond,
 		Reprobe:   -1,
 	})
 	if err == nil || !strings.Contains(err.Error(), "all 1 endpoints are dead") {

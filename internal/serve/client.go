@@ -189,9 +189,9 @@ func (c *Client) Results(ctx context.Context, id string) (io.ReadCloser, error) 
 //
 // The returned bool reports whether the daemon actually followed
 // (the X-Slimcodemld-Follow response header): an older daemon ignores
-// the parameters and answers with a bounded point-in-time body, and
-// the caller should fall back to polling. offset skips bytes already
-// received — how a caller resumes after an interrupted stream.
+// the parameters and answers with a bounded point-in-time body, which
+// the fan-out coordinator refuses. offset skips bytes already received
+// — how a caller resumes after an interrupted stream.
 func (c *Client) FollowResults(ctx context.Context, id string, offset int64) (io.ReadCloser, bool, error) {
 	path := fmt.Sprintf("/jobs/%s/results?follow=1&offset=%d", url.PathEscape(id), offset)
 	req, err := c.newRequest(ctx, http.MethodGet, path, nil)

@@ -150,3 +150,121 @@ func TestFollowCleanPrefixAcrossRestart(t *testing.T) {
 		t.Fatalf("job ended %s, want done", end.State)
 	}
 }
+
+// Many followers on one job whose rows land quickly (replayed from the
+// warm cache right after a queue wait) must each receive every byte —
+// identical to GET /results — and see their stream end: the change
+// signal may never lose a wake-up.
+func TestFollowManyConcurrentFollowers(t *testing.T) {
+	srv, err := serve.New(serve.Config{
+		DataDir:     t.TempDir(),
+		PoolWorkers: 1,
+		MaxActive:   1,
+		QueueDepth:  8,
+		CacheDir:    t.TempDir(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(context.Background())
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	maniPath, _ := simManifest(t, 6, 8200)
+	spec := serve.JobSpec{ManifestPath: maniPath, MaxIter: 1, Seed: 1, Concurrency: 1}
+	fill := postJob(t, ts.URL, spec)
+	pollUntil(t, ts.URL, fill.ID, func(s serve.Status) bool { return s.State == serve.StateDone }, "done")
+
+	// A cold job ahead in the queue holds the replayed job back, so the
+	// followers attach while it is still queued.
+	blockerPath, _ := simManifest(t, 1, 8300)
+	postJob(t, ts.URL, serve.JobSpec{ManifestPath: blockerPath, MaxIter: 1, Seed: 1, Concurrency: 1})
+	st := postJob(t, ts.URL, spec)
+
+	const followers = 16
+	c := serve.NewClient(ts.URL)
+	got := make(chan []byte, followers)
+	errs := make(chan error, followers)
+	for i := 0; i < followers; i++ {
+		go func() {
+			rc, _, err := c.FollowResults(context.Background(), st.ID, 0)
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer rc.Close()
+			data, err := io.ReadAll(rc)
+			if err != nil {
+				errs <- err
+				return
+			}
+			got <- data
+		}()
+	}
+	var streams [][]byte
+	timeout := time.After(time.Minute)
+	for len(streams) < followers {
+		select {
+		case data := <-got:
+			streams = append(streams, data)
+		case err := <-errs:
+			t.Fatal(err)
+		case <-timeout:
+			t.Fatalf("only %d of %d follow streams ended", len(streams), followers)
+		}
+	}
+	if end := getStatus(t, ts.URL, st.ID); end.State != serve.StateDone {
+		t.Fatalf("job ended %s, want done", end.State)
+	}
+	want := fetchResults(t, ts.URL, st.ID)
+	for i, data := range streams {
+		if !bytes.Equal(data, want) {
+			t.Fatalf("follower %d received %d bytes, want the %d bytes of GET /results", i, len(data), len(want))
+		}
+	}
+}
+
+// A follower of a queued job ends promptly when the job is cancelled:
+// the cancel fires the job's change signal.
+func TestFollowQueuedJobEndsOnCancel(t *testing.T) {
+	srv, err := serve.New(serve.Config{DataDir: t.TempDir(), PoolWorkers: 1, MaxActive: 1, QueueDepth: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(context.Background())
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	// A long job occupies the only run slot, so the next one stays queued.
+	blockerPath, _ := simManifest(t, 8, 8400)
+	blocker := postJob(t, ts.URL, serve.JobSpec{ManifestPath: blockerPath, MaxIter: 5, Seed: 1, Concurrency: 1})
+	maniPath, _ := simManifest(t, 2, 8500)
+	st := postJob(t, ts.URL, serve.JobSpec{ManifestPath: maniPath, MaxIter: 1, Seed: 1, Concurrency: 1})
+
+	c := serve.NewClient(ts.URL)
+	rc, _, err := c.FollowResults(context.Background(), st.ID, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	ended := make(chan []byte, 1)
+	go func() {
+		data, _ := io.ReadAll(rc)
+		ended <- data
+	}()
+	if s := getStatus(t, ts.URL, st.ID); s.State != serve.StateQueued {
+		t.Fatalf("job is %s, want queued behind the long job", s.State)
+	}
+	if _, err := c.Cancel(context.Background(), st.ID); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case data := <-ended:
+		if len(data) != 0 {
+			t.Fatalf("cancelled queued job streamed %q, want nothing", data)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("follow stream of a cancelled queued job did not end within 1 s")
+	}
+	c.Cancel(context.Background(), blocker.ID)
+}

@@ -11,7 +11,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // Handler returns the service's HTTP API:
@@ -261,13 +260,9 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	io.Copy(w, f)
 }
 
-// followPollInterval paces follow mode's checks for new durable bytes.
-var followPollInterval = 25 * time.Millisecond
-
 // followHeader marks a follow-capable response — the capability signal
-// Client.FollowResults and the fan-out coordinator detect, so an old
-// daemon (which would treat ?follow=1 as an unknown parameter and
-// answer with a bounded body) degrades them to polling.
+// Client.FollowResults and the fan-out coordinator check; the
+// coordinator refuses a daemon that does not send it.
 const followHeader = "X-Slimcodemld-Follow"
 
 // streamResults is follow mode: a chunked JSONL stream that forwards
@@ -280,6 +275,9 @@ const followHeader = "X-Slimcodemld-Follow"
 // stream closes after the job reaches a terminal state and the file is
 // drained; a client that wants the remainder after an interrupted
 // daemon restarts re-follows with ?offset=<bytes received>.
+//
+// The stream sleeps on the job's change signal, which fires after each
+// row is durable and on every state change — no timer paces it.
 func (s *Server) streamResults(w http.ResponseWriter, r *http.Request, job *Job, offset int64) {
 	flusher, canFlush := w.(http.Flusher)
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -294,18 +292,16 @@ func (s *Server) streamResults(w http.ResponseWriter, r *http.Request, job *Job,
 
 	pos := offset
 	var pending []byte
-	t := time.NewTicker(followPollInterval)
-	defer t.Stop()
+	buf := make([]byte, 64<<10)
 	for {
-		// State before read: a terminal state means no further writes,
-		// so a read after observing it drains everything.
-		st := job.Status()
-		terminal := st.State != StateQueued && st.State != StateRunning
-		n := forwardCompleteLines(w, job.ResultsPath(), &pos, &pending)
-		if n > 0 && canFlush {
+		// Snapshot before read: a terminal state means no further
+		// writes, so the read after it drains everything; otherwise any
+		// row landing after the read fires changed.
+		terminal, changed := job.watch()
+		if n := forwardCompleteLines(w, job.ResultsPath(), &pos, &pending, buf); n > 0 && canFlush {
 			flusher.Flush()
 		}
-		if terminal && n == 0 {
+		if terminal {
 			// Drained. A leftover partial line cannot happen on a sound
 			// results file (records are complete lines); if the file was
 			// torn by outside interference the fragment is not a record
@@ -317,17 +313,17 @@ func (s *Server) streamResults(w http.ResponseWriter, r *http.Request, job *Job,
 			return // client went away
 		case <-s.quit:
 			return // daemon shutting down: the prefix sent is clean
-		case <-t.C:
+		case <-changed:
 		}
 	}
 }
 
 // forwardCompleteLines copies newly appended bytes from path (starting
-// at *pos) to w, but only ever through the last '\n' — a partial line
-// caught mid-append waits in *pending until its terminator lands.
-// Returns the bytes written to w. A missing file (job not started,
-// purged mid-stream) is simply zero new bytes.
-func forwardCompleteLines(w io.Writer, path string, pos *int64, pending *[]byte) int {
+// at *pos) to w, reading through buf, but only ever through the last
+// '\n' — a partial line caught mid-append waits in *pending until its
+// terminator lands. Returns the bytes written to w. A missing file (job
+// not started, purged mid-stream) is simply zero new bytes.
+func forwardCompleteLines(w io.Writer, path string, pos *int64, pending *[]byte, buf []byte) int {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0
@@ -336,7 +332,6 @@ func forwardCompleteLines(w io.Writer, path string, pos *int64, pending *[]byte)
 	if _, err := f.Seek(*pos, io.SeekStart); err != nil {
 		return 0
 	}
-	buf := make([]byte, 64<<10)
 	for {
 		n, err := f.Read(buf)
 		if n > 0 {

@@ -297,6 +297,29 @@ type Job struct {
 	started   time.Time
 	finished  time.Time
 	summary   *core.StreamSummary
+	// changed is closed and replaced whenever state, done or failed
+	// change (setLocked) — the signal follow streams wait on.
+	changed chan struct{}
+}
+
+// setLocked records the job's state and progress counters and fires
+// the change signal. Every write of state, done and failed goes through
+// here, so no follow stream can miss one. Callers hold j.mu (or own the
+// job exclusively during recovery).
+func (j *Job) setLocked(state string, done, failed int) {
+	j.state, j.done, j.failed = state, done, failed
+	close(j.changed)
+	j.changed = make(chan struct{})
+}
+
+// watch reports whether the job has reached a terminal state, together
+// with the change signal that fires on its next change — taken under
+// one lock, so a change after the snapshot always fires the returned
+// channel.
+func (j *Job) watch() (terminal bool, changed <-chan struct{}) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.state != StateQueued && j.state != StateRunning, j.changed
 }
 
 // Status is the wire representation of a job's state.
@@ -887,7 +910,7 @@ func (s *Server) Cancel(id string) error {
 	switch job.state {
 	case StateQueued:
 		job.cancelled = true
-		job.state = StateCancelled
+		job.setLocked(StateCancelled, job.done, job.failed)
 		job.finished = time.Now()
 		s.indexPutLocked(job)
 		job.mu.Unlock()
@@ -954,7 +977,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	for _, job := range s.sched.drain() {
 		job.mu.Lock()
 		if job.state == StateQueued {
-			job.state = StateInterrupted
+			job.setLocked(StateInterrupted, job.done, job.failed)
 			job.finished = time.Now()
 			s.indexPutLocked(job)
 			s.met.jobEvents.With(eventInterrupted).Inc()
@@ -999,7 +1022,7 @@ func (s *Server) runJob(job *Job) {
 		return
 	}
 	if s.closed {
-		job.state = StateInterrupted
+		job.setLocked(StateInterrupted, job.done, job.failed)
 		job.finished = time.Now()
 		s.indexPutLocked(job)
 		job.mu.Unlock()
@@ -1008,7 +1031,7 @@ func (s *Server) runJob(job *Job) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	job.cancel = cancel
-	job.state = StateRunning
+	job.setLocked(StateRunning, job.done, job.failed)
 	job.started = time.Now()
 	job.mu.Unlock()
 	s.mu.Unlock()
@@ -1026,15 +1049,18 @@ func (s *Server) runJob(job *Job) {
 		Counts:  counts,
 		OnStart: func(completed, failed int) {
 			job.mu.Lock()
-			job.done, job.failed = completed, failed
+			job.setLocked(job.state, completed, failed)
 			job.mu.Unlock()
 		},
+		// OnResult runs after the row is durable, so a follower woken
+		// here always finds the complete line on disk.
 		OnResult: func(r core.GeneResult) {
 			job.mu.Lock()
-			job.done++
+			failed := job.failed
 			if r.Err != nil {
-				job.failed++
+				failed++
 			}
+			job.setLocked(job.state, job.done+1, failed)
 			job.mu.Unlock()
 		},
 	})
@@ -1051,19 +1077,21 @@ func (s *Server) runJob(job *Job) {
 	job.summary = sum
 	job.cancel = nil
 	job.finished = time.Now()
+	var state string
 	switch {
 	case err == nil:
-		job.state = StateDone
+		state = StateDone
 	case errors.Is(err, context.Canceled):
 		if job.cancelled {
-			job.state = StateCancelled
+			state = StateCancelled
 		} else {
-			job.state = StateInterrupted
+			state = StateInterrupted
 		}
 	default:
-		job.state = StateFailed
+		state = StateFailed
 		job.errMsg = err.Error()
 	}
+	job.setLocked(state, job.done, job.failed)
 	// fsync-before-describe: checkpoint.Run has made the results and
 	// ledger durable before this record claims the job finished.
 	s.indexPutLocked(job)
@@ -1095,6 +1123,7 @@ func (s *Server) newJob(id string, spec JobSpec, entries []manifest.Entry, opts 
 		specPath:   base + ".job.json",
 		state:      StateQueued,
 		total:      len(entries),
+		changed:    make(chan struct{}),
 	}
 }
 
@@ -1279,8 +1308,8 @@ func (s *Server) recover() ([]*Job, error) {
 // the job's spec or ledger.
 func (s *Server) shellJob(rec checkpoint.JobIndexRecord) *Job {
 	job := s.newJob(rec.ID, JobSpec{Tenant: rec.Tenant}, nil, core.StreamOptions{})
-	job.state = rec.State
-	job.total, job.done, job.failed = rec.Total, rec.Done, rec.Failed
+	job.total = rec.Total
+	job.setLocked(rec.State, rec.Done, rec.Failed)
 	job.errMsg = rec.Error
 	job.digest = rec.Digest
 	if rec.SubmittedUnixNano != 0 {
@@ -1299,7 +1328,7 @@ func (s *Server) revalidate(id string) (*Job, bool) {
 	job, resume, err := s.recoverJob(id)
 	switch {
 	case err != nil:
-		job.state = StateFailed
+		job.setLocked(StateFailed, job.done, job.failed)
 		job.errMsg = fmt.Sprintf("recovery: %v", err)
 		job.finished = time.Now()
 		resume = false
@@ -1356,9 +1385,9 @@ func (s *Server) recoverJob(id string) (*Job, bool, error) {
 	if err != nil {
 		return job, false, err
 	}
-	job.done, job.failed = plan.Skip, plan.Failed
+	job.setLocked(job.state, plan.Skip, plan.Failed)
 	if plan.Skip == len(entries) {
-		job.state = StateDone
+		job.setLocked(StateDone, job.done, job.failed)
 		job.finished = time.Now()
 		if info, err := os.Stat(job.ledgerPath); err == nil {
 			// Likewise, the ledger's last write is when the job actually
