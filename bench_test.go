@@ -157,7 +157,14 @@ func BenchmarkExpm(b *testing.B) {
 	d := kernelFixture(b)
 	ws := d.NewWorkspace()
 	p := mat.New(d.N(), d.N())
-	for _, m := range []expm.Method{expm.MethodNaiveGEMM, expm.MethodGEMM, expm.MethodSYRK} {
+	// naive-gemm is Eq. 9 on the naive kernel, CodeML's hand-rolled
+	// loops; gemm and syrk run on the process default kernel.
+	b.Run("naive-gemm", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			d.PMatrixOn(blas.NaiveKernel, 0.37, expm.MethodGEMM, p, ws)
+		}
+	})
+	for _, m := range []expm.Method{expm.MethodGEMM, expm.MethodSYRK} {
 		b.Run(m.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				d.PMatrix(0.37, m, p, ws)
@@ -202,10 +209,11 @@ func BenchmarkCondVec(b *testing.B) {
 	dst := mat.New(npat, n)
 	scratch := make([]float64, n)
 
+	// The naive kernel's one-row NT product is the textbook mat-vec.
 	b.Run("persite-naive-gemv", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for pt := 0; pt < npat; pt++ {
-				blas.NaiveGemv(false, 1, p, partial.Row(pt), 0, dst.Row(pt))
+				blas.NaiveKernel.DgemmNTRows(1, partial, p, 0, dst, pt, pt+1)
 			}
 		}
 	})
@@ -259,10 +267,10 @@ func BenchmarkLikelihoodEval(b *testing.B) {
 		name string
 		cfg  lik.Config
 	}{
-		{"baseline-naive", lik.Config{Kernel: lik.TierNaive, PMethod: expm.MethodGEMM, Apply: lik.ApplyPerSiteGEMV}},
-		{"slim-syrk-gemv", lik.Config{Kernel: lik.TierTuned, PMethod: expm.MethodSYRK, Apply: lik.ApplyPerSiteGEMV}},
-		{"slim-syrk-symv", lik.Config{Kernel: lik.TierTuned, PMethod: expm.MethodSYRK, Apply: lik.ApplyPerSiteSYMV}},
-		{"slim-syrk-bundled", lik.Config{Kernel: lik.TierTuned, PMethod: expm.MethodSYRK, Apply: lik.ApplyBundled}},
+		{"baseline-naive", core.EngineBaseline.LikConfig()},
+		{"slim-syrk-gemv", lik.Config{PMethod: expm.MethodSYRK, Apply: lik.ApplyPerSiteGEMV}},
+		{"slim-syrk-symv", lik.Config{PMethod: expm.MethodSYRK, Apply: lik.ApplyPerSiteSYMV}},
+		{"slim-syrk-bundled", lik.Config{PMethod: expm.MethodSYRK, Apply: lik.ApplyBundled}},
 	}
 	for _, tc := range configs {
 		b.Run(tc.name, func(b *testing.B) {
@@ -320,10 +328,8 @@ func TestAccuracyHarness(t *testing.T) {
 }
 
 // BenchmarkParallelEngine contrasts the execution strategies on the
-// dataset iii shape: serial, the seed's class-level parallelism
-// (ceiling: one goroutine per site class, i.e. 4-way), and the
-// block-pool engine over (class × pattern-block) tiles at 1/2/4/8
-// workers. All strategies compute bit-identical log-likelihoods; only
+// dataset iii shape: serial and the block-pool engine over
+// (class × pattern-block) tiles at 1/2/4/8 workers. All strategies compute bit-identical log-likelihoods; only
 // the scheduling differs. The README records the measured table.
 func BenchmarkParallelEngine(b *testing.B) {
 	fx, err := bench.NewEvalFixture("iii", 0, 1)
@@ -350,11 +356,6 @@ func BenchmarkParallelEngine(b *testing.B) {
 		}
 	}
 	b.Run("serial", func(b *testing.B) { run(b, base) })
-	b.Run("class-4way", func(b *testing.B) {
-		cfg := base
-		cfg.Parallel = true
-		run(b, cfg)
-	})
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("block-pool-%dw", workers), func(b *testing.B) {
 			cfg := base

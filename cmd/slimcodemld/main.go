@@ -87,7 +87,7 @@ func main() {
 		drain     = flag.Duration("drain", 30*time.Second, "graceful-shutdown budget for in-flight genes")
 		retain    = flag.Duration("retain", 0, "purge done/failed/cancelled jobs (files and all) this long after they finish; 0 keeps them forever")
 		tenants   = flag.String("tenants", "", "tenants file enabling token auth, per-tenant quotas and fair-share scheduling (empty = single-tenant open daemon; hot-reloads on file change or SIGHUP)")
-		kernel    = flag.String("kernel", "", "GEMM kernel for all jobs (empty = $"+blas.KernelEnv+" or "+blas.DefaultKernel+"; every kernel is bit-exact, results never change)")
+		kernel    = flag.String("kernel", "", "default kernel for all jobs (empty = $"+blas.KernelEnv+" or "+blas.DefaultKernel+"; every kernel is bit-exact, results never change)")
 		cacheDir  = flag.String("cachedir", "", "cross-run warm cache directory (empty = <data>/cache, \"off\" disables); survives restarts, never purged by -retain")
 		logFmt    = flag.String("logfmt", "text", "structured log format on stderr: text or json")
 		withPprof = flag.Bool("pprof", false, "mount net/http/pprof profiling handlers under /debug/pprof/")

@@ -147,11 +147,11 @@ func TestParallelSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sweep.Serial <= 0 || sweep.Class <= 0 || len(sweep.Points) != 2 {
+	if sweep.Serial <= 0 || len(sweep.Points) != 2 {
 		t.Fatalf("incomplete sweep: %+v", sweep)
 	}
 	for _, p := range sweep.Points {
-		if p.Eval <= 0 || !(p.SpeedupVsClass > 0) {
+		if p.Eval <= 0 || !(p.SpeedupVsSerial > 0) {
 			t.Fatalf("bad point: %+v", p)
 		}
 	}

@@ -89,17 +89,15 @@ func timeEvals(eng *lik.Engine, evals int) (time.Duration, error) {
 type ParallelPoint struct {
 	Workers int
 	Eval    time.Duration
-	// SpeedupVsClass is classEval / blockEval: >1 means the block pool
-	// beats the 4-way class engine at this worker count.
-	SpeedupVsClass float64
+	// SpeedupVsSerial is serialEval / blockEval: >1 means the block
+	// pool beats the serial engine at this worker count.
+	SpeedupVsSerial float64
 }
 
-// ParallelSweep compares the execution strategies on one fixture:
-// serial, class-parallel (the seed engine's 4-way ceiling) and the
-// block-pool engine across worker counts.
+// ParallelSweep compares the execution strategies on one fixture: the
+// serial engine and the block-pool engine across worker counts.
 type ParallelSweep struct {
 	Serial time.Duration
-	Class  time.Duration
 	Points []ParallelPoint
 }
 
@@ -118,16 +116,6 @@ func RunParallelSweep(f *EvalFixture, base lik.Config, workerCounts []int, evals
 		return nil, err
 	}
 
-	clsCfg := base
-	clsCfg.Parallel = true
-	cls, err := f.NewEngine(clsCfg)
-	if err != nil {
-		return nil, err
-	}
-	if out.Class, err = timeEvals(cls, evals); err != nil {
-		return nil, err
-	}
-
 	for _, w := range workerCounts {
 		cfg := base
 		cfg.Workers = w
@@ -141,9 +129,9 @@ func RunParallelSweep(f *EvalFixture, base lik.Config, workerCounts []int, evals
 			return nil, err
 		}
 		out.Points = append(out.Points, ParallelPoint{
-			Workers:        w,
-			Eval:           d,
-			SpeedupVsClass: ratio(out.Class.Seconds(), d.Seconds()),
+			Workers:         w,
+			Eval:            d,
+			SpeedupVsSerial: ratio(out.Serial.Seconds(), d.Seconds()),
 		})
 	}
 	return out, nil
@@ -249,11 +237,10 @@ func PrintTransitionSweep(w io.Writer, s *TransitionSweep) {
 // header (see PrintTransitionSweep).
 func PrintParallelSweep(w io.Writer, s *ParallelSweep) {
 	fmt.Fprintf(w, "Parallel engine — full-evaluation wall time per strategy (GOMAXPROCS=%d)\n", runtime.GOMAXPROCS(0))
-	fmt.Fprintf(w, "%-24s %14s %10s\n", "strategy", "eval", "vs class")
-	fmt.Fprintf(w, "%-24s %14s %10s\n", "serial", s.Serial, fmt.Sprintf("%.2f", ratio(s.Class.Seconds(), s.Serial.Seconds())))
-	fmt.Fprintf(w, "%-24s %14s %10s\n", "class (4-way)", s.Class, "1.00")
+	fmt.Fprintf(w, "%-24s %14s %10s\n", "strategy", "eval", "vs serial")
+	fmt.Fprintf(w, "%-24s %14s %10s\n", "serial", s.Serial, "1.00")
 	for _, p := range s.Points {
 		fmt.Fprintf(w, "%-24s %14s %10.2f\n",
-			fmt.Sprintf("block-pool %d workers", p.Workers), p.Eval, p.SpeedupVsClass)
+			fmt.Sprintf("block-pool %d workers", p.Workers), p.Eval, p.SpeedupVsSerial)
 	}
 }

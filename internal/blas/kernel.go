@@ -31,12 +31,14 @@ import (
 // worker counts, tilings, shards, and resumes) extends across kernel
 // choices: switching kernels can never change a likelihood.
 //
-// Selection: the process default is DefaultKernel, overridden by the
-// KernelEnv environment variable at init and by SetKernel (the cmds'
-// -kernel flag) afterwards. The "naive" kernel is always available as
-// the reference fallback. A future build-tagged assembly or
-// gonum-backed variant only has to call Register from its own init
-// and pass the conformance suite — no caller changes.
+// Selection: each lik engine names its kernel in its Config; engines
+// that leave it nil take the process default, which is DefaultKernel,
+// overridden by the KernelEnv environment variable at init and by
+// SetKernel (the cmds' -kernel flag) afterwards. The "naive" kernel is
+// always available as the reference fallback, and the baseline engine
+// pins it. A future build-tagged assembly or gonum-backed variant only
+// has to call Register from its own init and pass the conformance
+// suite — no caller changes.
 
 // Kernel is one implementation of the NT product family. Methods may
 // assume validated arguments (the package-level dispatchers and the
@@ -191,7 +193,7 @@ func SetKernel(name string) error {
 }
 
 func init() {
-	Register(naiveKernel{})
+	Register(NaiveKernel)
 	Register(blockedKernel{})
 	name := os.Getenv(KernelEnv)
 	if name == "" {

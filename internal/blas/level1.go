@@ -5,16 +5,14 @@
 // update), and level-3 dgemm / dsyrk (the paper's Eq. 9 vs Eq. 10
 // contrast).
 //
-// Two implementation tiers are provided:
-//
-//   - the default exported kernels are cache-blocked and
-//     register-tiled, standing in for a tuned BLAS (GotoBLAS2 in the
-//     paper);
-//   - the Naive* kernels are straightforward textbook loops, standing
-//     in for the hand-rolled C loops inside original CodeML.
-//
-// Both tiers are exercised against each other by the package tests, so
-// they are interchangeable in every caller.
+// The exported kernels are cache-blocked and register-tiled, standing
+// in for a tuned BLAS (GotoBLAS2 in the paper). The NT matrix products
+// the likelihood computation issues go through a runtime Kernel seam
+// (kernel.go): the "blocked" kernel is the tuned one, and the "naive"
+// kernel runs the straightforward textbook loops that stand in for the
+// hand-rolled C inside original CodeML. Naive vs tuned arithmetic is
+// chosen by kernel, and only by kernel. The Naive* functions are the
+// textbook oracles the tests check every kernel against.
 package blas
 
 import "math"

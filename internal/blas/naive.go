@@ -2,12 +2,10 @@ package blas
 
 import "repro/internal/mat"
 
-// Naive reference kernels. These are deliberately unblocked,
-// untiled textbook loops: they model the hand-rolled C inside original
-// CodeML v4.4c, which the paper replaces with tuned BLAS calls. The
-// Baseline engine uses these so the Baseline↔Slim runtime contrast
-// includes the tuned-vs-hand-rolled component the paper measured.
-// They also serve as oracles for the optimized kernels in the tests.
+// Naive reference routines. These are deliberately unblocked, untiled
+// textbook loops, kept as oracles: the tests check the optimized
+// routines and every registered Kernel against them. The engine's
+// naive arithmetic is the "naive" Kernel (NaiveKernel), not these.
 
 // NaiveGemm computes C ← α·op(A)·op(B) + βC with plain i-j-k loops.
 func NaiveGemm(transA, transB bool, alpha float64, a, b *mat.Matrix, beta float64, c *mat.Matrix) {

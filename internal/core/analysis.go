@@ -25,12 +25,6 @@ type Analysis struct {
 	names []string
 	pi    []float64
 	eng   *lik.Engine
-
-	// Cached model state so branch-length-only updates skip the
-	// eigendecompositions.
-	curParams bsm.Params
-	curHyp    bsm.Hypothesis
-	haveModel bool
 }
 
 // NewAnalysis prepares an analysis from a nucleotide alignment and a
@@ -139,45 +133,33 @@ func (l *paramLayout) pack(p bsm.Params, brLens []float64) []float64 {
 	return x
 }
 
-func (l *paramLayout) unpack(x []float64) (bsm.Params, map[int]float64) {
-	var p bsm.Params
-	p.Kappa = trKappa.External(x[0])
-	p.Omega0 = trOmega0.External(x[1])
+// unpack reads the model parameters from the packed vector's prefix.
+func (l *paramLayout) unpack(x []float64) bsm.Params {
+	p := bsm.Params{Kappa: trKappa.External(x[0]), Omega0: trOmega0.External(x[1]), Omega2: 1}
 	i := 2
 	if l.h == bsm.H1 {
 		p.Omega2 = trOmega2.External(x[2])
 		i = 3
-	} else {
-		p.Omega2 = 1
 	}
 	props := trProp.External([]float64{x[i], x[i+1]})
 	p.P0, p.P1 = props[0], props[1]
-	i += 2
-	lens := make(map[int]float64, len(l.branchIDs))
-	for k, id := range l.branchIDs {
-		lens[id] = trBranch.External(x[i+k])
-	}
-	return p, lens
+	return p
 }
 
-// install pushes the external parameters into the likelihood engine,
-// rebuilding the model only when the model parameters changed.
-func (an *Analysis) install(h bsm.Hypothesis, p bsm.Params, lens map[int]float64) error {
-	if !an.haveModel || an.curHyp != h || an.curParams != p {
-		m, err := bsm.New(an.opts.Code, h, p, an.pi)
-		if err != nil {
-			return err
-		}
-		if err := an.eng.SetModel(m); err != nil {
-			return err
-		}
-		an.curParams, an.curHyp, an.haveModel = p, h, true
+// install pushes the external parameters into the likelihood engine
+// and, when lens (indexed by node ID) is non-nil, the branch lengths.
+func (an *Analysis) install(h bsm.Hypothesis, p bsm.Params, lens []float64) error {
+	m, err := bsm.New(an.opts.Code, h, p, an.pi)
+	if err != nil {
+		return err
 	}
-	full := an.eng.BranchLengths()
-	for id, t := range lens {
-		full[id] = t
+	if err := an.eng.SetModel(m); err != nil {
+		return err
 	}
-	return an.eng.SetBranchLengths(full)
+	if lens == nil {
+		return nil
+	}
+	return an.eng.SetBranchLengths(lens)
 }
 
 // initialParams draws the CodeML-style seeded starting point.
@@ -244,69 +226,19 @@ func (an *Analysis) FitFrom(h bsm.Hypothesis, p0 bsm.Params, startLens []float64
 		layout.nModel = 5
 	}
 	x0 := layout.pack(p0, startLens)
-
-	objective := func(x []float64) float64 {
-		p, lens := layout.unpack(x)
-		if err := an.install(h, p, lens); err != nil {
-			// An optimizer probe outside the model's domain (despite
-			// the transform clamps, extreme coordinates can still
-			// violate a strict constraint) is an infinitely bad
-			// point, not a fatal error: the line search backtracks.
-			return math.Inf(1)
-		}
-		return -an.eng.LogLikelihood()
-	}
-
-	opts := an.opts.Engine.optOptions(an.opts.MaxIterations)
-	// Gradient: full evaluations for model parameters, cheap path
-	// updates for branch lengths (the engine caches make a branch
-	// perturbation cost O(depth) instead of O(tree)).
-	gradient := func(x, g []float64) {
-		fx := objective(x) // sync engine state to x
-		for i := 0; i < layout.nModel; i++ {
-			hStep := opts.FDStep * (1 + math.Abs(x[i]))
-			old := x[i]
-			if opts.Gradient == optimize.GradForward {
-				x[i] = old + hStep
-				g[i] = (objective(x) - fx) / hStep
-			} else {
-				x[i] = old + hStep
-				fp := objective(x)
-				x[i] = old - hStep
-				fm := objective(x)
-				g[i] = (fp - fm) / (2 * hStep)
-			}
-			x[i] = old
-		}
-		// Restore the center state for the branch path updates.
-		objective(x)
-		for k, id := range layout.branchIDs {
-			i := layout.nModel + k
-			hStep := opts.FDStep * (1 + math.Abs(x[i]))
-			if opts.Gradient == optimize.GradForward {
-				fp := -an.eng.BranchLogLikelihood(id, trBranch.External(x[i]+hStep))
-				g[i] = (fp - fx) / hStep
-			} else {
-				fp := -an.eng.BranchLogLikelihood(id, trBranch.External(x[i]+hStep))
-				fm := -an.eng.BranchLogLikelihood(id, trBranch.External(x[i]-hStep))
-				g[i] = (fp - fm) / (2 * hStep)
-			}
-		}
-	}
-
-	res := optimize.Minimize(optimize.Problem{F: objective, Grad: gradient}, x0, opts)
-
-	pBest, lensBest := layout.unpack(res.X)
-	if err := an.install(h, pBest, lensBest); err != nil {
+	f := newFitter(an.eng, layout.nModel, func(modelX []float64) (lik.Model, error) {
+		return bsm.New(an.opts.Code, h, layout.unpack(modelX), an.pi)
+	}, an.opts.Engine.optOptions(an.opts.MaxIterations))
+	res, err := f.run(x0)
+	if err != nil {
 		return nil, err
 	}
-	full := an.eng.BranchLengths()
 	return &FitResult{
 		Engine:        an.opts.Engine,
 		Hypothesis:    h,
 		LnL:           -res.F,
-		Params:        pBest,
-		BranchLengths: full,
+		Params:        layout.unpack(res.X),
+		BranchLengths: an.eng.BranchLengths(),
 		Iterations:    res.Iterations,
 		FuncEvals:     res.FuncEvals,
 		Converged:     res.Converged,
@@ -410,10 +342,8 @@ func (an *Analysis) run(seed *bsm.Params, seedLens []float64) (*TestResult, erro
 	if err != nil {
 		return nil, err
 	}
-	// Leave the engine at the H1 optimum for the site posteriors.
-	if err := an.install(bsm.H1, h1.Params, sliceToMap(h1.BranchLengths, an.eng.BranchIDs())); err != nil {
-		return nil, err
-	}
+	// The H1 fit left the engine at its optimum, where the site
+	// posteriors are taken.
 	post := an.eng.ClassPosteriors()
 	prob := lik.ClassMassProbability(post, bsm.Class2a, bsm.Class2b)
 
@@ -434,14 +364,6 @@ func (an *Analysis) run(seed *bsm.Params, seedLens []float64) (*TestResult, erro
 		TotalRuntime:    time.Since(start),
 		TotalIterations: h0.Iterations + h1.Iterations,
 	}, nil
-}
-
-func sliceToMap(lens []float64, ids []int) map[int]float64 {
-	m := make(map[int]float64, len(ids))
-	for _, id := range ids {
-		m[id] = lens[id]
-	}
-	return m
 }
 
 func sortSites(s []SiteSelection) {
@@ -474,8 +396,6 @@ func (an *Analysis) FitM0() (*SiteFitResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The engine no longer holds a branch-site model.
-	an.haveModel = false
 	out := &SiteFitResult{
 		Kind:          ModelM0,
 		LnL:           -res.F,

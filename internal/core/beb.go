@@ -39,7 +39,6 @@ func (an *Analysis) BEB(h1 *FitResult, gridSize int) (*BEBResult, error) {
 		return nil, fmt.Errorf("core: BEB grid size must be ≥ 2, got %d", gridSize)
 	}
 	const maxOmega2 = 11.0
-	lens := sliceToMap(h1.BranchLengths, an.eng.BranchIDs())
 
 	type gridEval struct {
 		lnL  float64
@@ -64,7 +63,7 @@ func (an *Analysis) BEB(h1 *FitResult, gridSize int) (*BEBResult, error) {
 				w2 := 1 + (maxOmega2-1)*(float64(k)+0.5)/float64(gridSize)
 				params := h1.Params
 				params.P0, params.P1, params.Omega2 = p0, p1, w2
-				if err := an.install(bsm.H1, params, lens); err != nil {
+				if err := an.install(bsm.H1, params, h1.BranchLengths); err != nil {
 					return nil, err
 				}
 				lnL, post := an.eng.LogLikelihoodAndPosteriors()
@@ -107,7 +106,7 @@ func (an *Analysis) BEB(h1 *FitResult, gridSize int) (*BEBResult, error) {
 		out.SiteProbability[site] = patProb[pat]
 	}
 	// Restore the engine to the H1 optimum.
-	if err := an.install(bsm.H1, h1.Params, lens); err != nil {
+	if err := an.install(bsm.H1, h1.Params, h1.BranchLengths); err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -66,7 +66,7 @@ func TestBEBProducesValidPosteriors(t *testing.T) {
 		}
 	}
 	// The engine must be restored to the H1 optimum afterwards.
-	if err := an.install(bsm.H1, h1.Params, sliceToMap(h1.BranchLengths, an.eng.BranchIDs())); err != nil {
+	if err := an.install(bsm.H1, h1.Params, h1.BranchLengths); err != nil {
 		t.Fatal(err)
 	}
 }

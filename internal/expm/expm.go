@@ -36,14 +36,12 @@ type Method int
 
 const (
 	// MethodGEMM is the paper's Eq. 9: a general matrix product
-	// Z = Ỹ Xᵀ using the blocked Dgemm (≈2n³ flops).
+	// Z = Ỹ Xᵀ (≈2n³ flops) on a blas.Kernel — the naive kernel
+	// models original CodeML's hand-rolled loops.
 	MethodGEMM Method = iota
 	// MethodSYRK is the paper's Eq. 10: the symmetric rank-k update
 	// Z = Y Yᵀ using Dsyrk (≈n³ flops) — SlimCodeML's improvement.
 	MethodSYRK
-	// MethodNaiveGEMM is Eq. 9 executed with the naive unblocked
-	// kernels, modelling original CodeML's hand-rolled loops.
-	MethodNaiveGEMM
 )
 
 // String names the method.
@@ -53,8 +51,6 @@ func (m Method) String() string {
 		return "gemm"
 	case MethodSYRK:
 		return "syrk"
-	case MethodNaiveGEMM:
-		return "naive-gemm"
 	}
 	return fmt.Sprintf("method(%d)", int(m))
 }
@@ -210,10 +206,17 @@ func (d *Decomposition) N() int { return d.n }
 func (d *Decomposition) Eigenvalues() []float64 { return d.lambda }
 
 // PMatrix computes P(t) = e^{Qt} into dst (n×n) using the selected
-// method. t must be non-negative. Small negative entries arising from
-// rounding are clamped to zero, as CodeML does, so downstream
-// likelihoods remain non-negative.
+// method, running MethodGEMM's product on the process default kernel
+// (blas.ActiveKernel). t must be non-negative. Small negative entries
+// arising from rounding are clamped to zero, as CodeML does, so
+// downstream likelihoods remain non-negative.
 func (d *Decomposition) PMatrix(t float64, method Method, dst *mat.Matrix, ws *Workspace) {
+	d.PMatrixOn(blas.ActiveKernel(), t, method, dst, ws)
+}
+
+// PMatrixOn is PMatrix with MethodGEMM's Ỹ·Xᵀ product run on kernel k.
+// Every kernel is bit-exact, so k changes speed only.
+func (d *Decomposition) PMatrixOn(k blas.Kernel, t float64, method Method, dst *mat.Matrix, ws *Workspace) {
 	if t < 0 {
 		panic(fmt.Sprintf("expm: negative branch length %g", t))
 	}
@@ -222,17 +225,18 @@ func (d *Decomposition) PMatrix(t float64, method Method, dst *mat.Matrix, ws *W
 	}
 	ws.Resize(d.n)
 	switch method {
-	case MethodGEMM, MethodNaiveGEMM:
-		// Eq. 9: Ỹ = X·e^{Λt}; Z = Ỹ·Xᵀ.
+	case MethodGEMM:
+		// Eq. 9: Ỹ = X·e^{Λt}; Z = Ỹ·Xᵀ, reusing the packed X when k
+		// packed it.
 		for i, l := range d.lambda {
 			ws.d[i] = math.Exp(l * t)
 		}
 		ws.y.CopyFrom(d.x)
 		ws.y.ScaleCols(ws.d)
-		if method == MethodGEMM {
+		if d.xp.Kernel() == k.Name() {
 			blas.DgemmNTPacked(1, ws.y, d.xp, 0, ws.z)
 		} else {
-			blas.NaiveGemm(false, true, 1, ws.y, d.x, 0, ws.z)
+			k.DgemmNT(1, ws.y, d.x, 0, ws.z)
 		}
 	case MethodSYRK:
 		// Eq. 10–11: Y = X·e^{Λt/2}; Z = Y·Yᵀ.

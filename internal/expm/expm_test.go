@@ -57,7 +57,7 @@ func TestPZeroIsIdentity(t *testing.T) {
 	d := decompose(t, r)
 	ws := d.NewWorkspace()
 	p := mat.New(d.N(), d.N())
-	for _, m := range []Method{MethodGEMM, MethodSYRK, MethodNaiveGEMM} {
+	for _, m := range []Method{MethodGEMM, MethodSYRK} {
 		d.PMatrix(0, m, p, ws)
 		if !p.EqualApprox(mat.Identity(d.N()), 1e-10) {
 			t.Fatalf("P(0) not identity for %v", m)
@@ -101,23 +101,50 @@ func TestPNonNegative(t *testing.T) {
 }
 
 // The central claim behind Eq. 10: GEMM and SYRK paths compute the
-// same matrix.
+// same matrix. MethodGEMM is moreover bit-identical to Eq. 9 computed
+// with the textbook blas.NaiveGemm, under every registered kernel.
 func TestGEMMAndSYRKAgree(t *testing.T) {
 	r := testRate(t, 1.8, 1.4, 33)
 	d := decompose(t, r)
+	n := d.N()
 	ws := d.NewWorkspace()
-	pg := mat.New(d.N(), d.N())
-	ps := mat.New(d.N(), d.N())
-	pn := mat.New(d.N(), d.N())
+	pg := mat.New(n, n)
+	ps := mat.New(n, n)
 	for _, tt := range []float64{0.005, 0.1, 0.7, 2.5} {
 		d.PMatrix(tt, MethodGEMM, pg, ws)
 		d.PMatrix(tt, MethodSYRK, ps, ws)
-		d.PMatrix(tt, MethodNaiveGEMM, pn, ws)
 		if !pg.EqualApprox(ps, 1e-11) {
 			t.Fatalf("GEMM vs SYRK disagree at t=%g", tt)
 		}
-		if !pg.EqualApprox(pn, 1e-11) {
-			t.Fatalf("GEMM vs NaiveGEMM disagree at t=%g", tt)
+
+		// Oracle: Ỹ = X·e^{Λt}, Z = NaiveGemm(Ỹ, Xᵀ), P = Π^{-1/2} Z Π^{1/2}
+		// with rounding negatives clamped.
+		y := d.x.Clone()
+		e := make([]float64, n)
+		for i, l := range d.lambda {
+			e[i] = math.Exp(l * tt)
+		}
+		y.ScaleCols(e)
+		z := mat.New(n, n)
+		blas.NaiveGemm(false, true, 1, y, d.x, 0, z)
+		want := mat.New(n, n)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				v := d.invSqrtPi[i] * z.At(i, j) * d.sqrtPi[j]
+				if v < 0 {
+					v = 0
+				}
+				want.Set(i, j, v)
+			}
+		}
+		for _, k := range blas.Kernels() {
+			d.PMatrixOn(k, tt, MethodGEMM, pg, ws)
+			for i := range want.Data {
+				if math.Float64bits(pg.Data[i]) != math.Float64bits(want.Data[i]) {
+					t.Fatalf("kernel %s, t=%g: P[%d] = %v, NaiveGemm oracle %v",
+						k.Name(), tt, i, pg.Data[i], want.Data[i])
+				}
+			}
 		}
 	}
 }

@@ -12,11 +12,19 @@
 //     matrix-matrix product (BLAS level 3, the paper's rule of thumb
 //     and stated future optimization).
 //
-// Orthogonally to the apply mode, three parallel execution strategies
-// are available (§V-B, the step toward the fully parallel FastCodeML):
+// The arithmetic behind the NT products is a second, independent axis:
+// Config.Kernel names the blas.Kernel that runs the engine's P(t) GEMM
+// (expm.MethodGEMM) and the bundled apply. The baseline engine pins
+// the naive kernel, whose NT row product is exactly the textbook
+// per-site mat-vec of CodeML's hand-rolled loops; every other engine
+// takes the process default. Kernels are bit-exact against each other,
+// so the kernel changes speed, never a likelihood, and the engine never
+// branches on which one it holds.
+//
+// Orthogonally to both, two execution strategies are available (§V-B,
+// the step toward the fully parallel FastCodeML):
 //
 //   - serial — one goroutine walks every class over every pattern;
-//   - class — one goroutine per site class (at most 4-way);
 //   - block-pool — a persistent worker Pool executes the engine's
 //     independent work units under worker-indexed scratch. Pruning
 //     runs as (class × pattern-block) tiles: the compressed pattern
@@ -58,7 +66,6 @@ package lik
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/align"
 	"repro/internal/blas"
@@ -66,18 +73,6 @@ import (
 	"repro/internal/expm"
 	"repro/internal/mat"
 	"repro/internal/newick"
-)
-
-// KernelTier selects the linear-algebra implementation tier.
-type KernelTier int
-
-const (
-	// TierTuned uses the blocked, register-tiled kernels (the tuned
-	// BLAS stand-in — SlimCodeML).
-	TierTuned KernelTier = iota
-	// TierNaive uses the plain textbook loops (CodeML's hand-rolled C
-	// stand-in).
-	TierNaive
 )
 
 // ApplyMode selects how conditional probability vectors are pushed
@@ -101,19 +96,18 @@ const DefaultBlockSize = 64
 
 // Config selects the execution strategy of an Engine.
 type Config struct {
-	Kernel  KernelTier
+	// Kernel runs the engine's NT products: the P(t) GEMM of
+	// expm.MethodGEMM and the bundled apply against the transition
+	// matrices it packs. nil selects the process default,
+	// blas.ActiveKernel() at New. Every kernel is bit-exact, so the
+	// choice changes speed only.
+	Kernel  blas.Kernel
 	PMethod expm.Method
 	Apply   ApplyMode
 	// ScaleThreshold triggers per-pattern rescaling of conditional
 	// vectors when their maximum drops below it; zero selects the
 	// default 1e-100.
 	ScaleThreshold float64
-	// Parallel prunes the four site classes concurrently — the seed
-	// engine's class-level parallelism, kept as a comparison point.
-	// Superseded by Workers/Pool, which parallelize over
-	// (class × pattern-block) tiles and per-(branch, slot) transition
-	// builds instead of classes only.
-	Parallel bool
 	// Workers > 0 selects the block-pool engine with an engine-owned
 	// pool of that many persistent workers (call Close to release
 	// them). Ignored when Pool is set.
@@ -131,6 +125,9 @@ type Config struct {
 }
 
 func (c *Config) fill() {
+	if c.Kernel == nil {
+		c.Kernel = blas.ActiveKernel()
+	}
 	if c.ScaleThreshold == 0 {
 		c.ScaleThreshold = 1e-100
 	}
@@ -205,9 +202,9 @@ type Engine struct {
 	// trans[v][w] is the transition matrix (or symmetric kernel in
 	// SYMV mode) of branch v for rate slot w; nil when the class
 	// mapping never needs it. In bundled-apply mode transPack[v][w]
-	// additionally holds the matrix packed for the NT kernel seam, so
+	// additionally holds the matrix packed by the engine's kernel, so
 	// the many per-tile × per-class products against the same branch
-	// matrix skip the per-call packing cost.
+	// matrix skip the per-call packing cost; it stays nil otherwise.
 	trans     [][]*mat.Matrix
 	transPack [][]*blas.PackedB
 
@@ -231,7 +228,10 @@ type Engine struct {
 	scrMsgScale  [][]float64
 	scrScale2    [][]float64
 	scrRootScale [][]float64
-	vecScratch   [][]float64
+
+	// vecScratch is the apply-mode scratch vector of a pool-less
+	// engine; pooled tiles use their worker's Pool.Vec instead.
+	vecScratch []float64
 
 	// siteLnL[p] is pattern p's weighted log-likelihood contribution,
 	// filled per block and reduced serially so the total is identical
@@ -340,6 +340,7 @@ func New(t *newick.Tree, pats *align.Patterns, names []string, cfg Config) (*Eng
 		e.arena = expm.NewArena(1)
 	}
 	e.siteLnL = make([]float64, e.npat)
+	e.vecScratch = make([]float64, n)
 
 	return e, nil
 }
@@ -373,7 +374,6 @@ func (e *Engine) ensureBuffers(numClasses, numSlots int) {
 		e.scrTransPack = make([]*blas.PackedB, numSlots)
 		for w := range e.scrTrans {
 			e.scrTrans[w] = mat.New(e.n, e.n)
-			e.scrTransPack[w] = &blas.PackedB{}
 		}
 	}
 	if numClasses == e.numClasses {
@@ -388,7 +388,6 @@ func (e *Engine) ensureBuffers(numClasses, numSlots int) {
 	e.scrMsgScale = make([][]float64, numClasses)
 	e.scrScale2 = make([][]float64, numClasses)
 	e.scrRootScale = make([][]float64, numClasses)
-	e.vecScratch = make([][]float64, numClasses)
 	for c := 0; c < numClasses; c++ {
 		e.msg[c] = make([]*mat.Matrix, len(e.nodes))
 		e.scale[c] = make([][]float64, len(e.nodes))
@@ -402,7 +401,6 @@ func (e *Engine) ensureBuffers(numClasses, numSlots int) {
 		e.scrMsgScale[c] = make([]float64, e.npat)
 		e.scrScale2[c] = make([]float64, e.npat)
 		e.scrRootScale[c] = make([]float64, e.npat)
-		e.vecScratch[c] = make([]float64, e.n)
 	}
 }
 
@@ -617,10 +615,6 @@ func (e *Engine) runTransTasks(tasks []transTask) {
 		return
 	}
 	e.stats.TransitionBuilds += len(tasks)
-	method := e.cfg.PMethod
-	if e.cfg.Kernel == TierNaive && method == expm.MethodGEMM {
-		method = expm.MethodNaiveGEMM
-	}
 	symv := e.cfg.Apply == ApplyPerSiteSYMV
 	e.runTasks(len(tasks), func(worker, i int) {
 		tk := tasks[i]
@@ -628,12 +622,12 @@ func (e *Engine) runTransTasks(tasks []transTask) {
 		if symv {
 			e.decomps[tk.slot].SymKernel(tk.t, tk.dst, ws)
 		} else {
-			e.decomps[tk.slot].PMatrix(tk.t, method, tk.dst, ws)
+			e.decomps[tk.slot].PMatrixOn(e.cfg.Kernel, tk.t, e.cfg.PMethod, tk.dst, ws)
 		}
 		if tk.pack != nil {
 			// Each task owns its pack exclusively, so concurrent
 			// re-packs are race-free like the dst writes.
-			blas.PackNT(tk.dst, tk.pack)
+			e.cfg.Kernel.PackB(tk.dst, tk.pack)
 		}
 	})
 }
@@ -691,20 +685,9 @@ func (e *Engine) LogLikelihood() float64 {
 			blk := e.blocks[i%nb]
 			e.pruneClassRange(i/nb, blk.lo, blk.hi, e.pool.Vec(worker, e.n))
 		})
-	case e.cfg.Parallel:
-		// Legacy class parallelism: at most numClasses goroutines.
-		var wg sync.WaitGroup
-		for c := 0; c < e.numClasses; c++ {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				e.pruneClassRange(c, 0, e.npat, e.vecScratch[c])
-			}(c)
-		}
-		wg.Wait()
 	default:
 		for c := 0; c < e.numClasses; c++ {
-			e.pruneClassRange(c, 0, e.npat, e.vecScratch[c])
+			e.pruneClassRange(c, 0, e.npat, e.vecScratch)
 		}
 	}
 	partials := make([]*mat.Matrix, e.numClasses)
@@ -821,20 +804,13 @@ func (e *Engine) leafMessage(tm *mat.Matrix, leafRow int, dst *mat.Matrix, lo, h
 // transition matrix (or symmetric kernel) according to the configured
 // apply mode, writing one message row per pattern. Every mode works
 // row-by-row with a fixed per-row operation order, so any tiling of
-// the pattern range produces bit-identical rows. pb, when non-nil, is
-// tm packed for the NT kernel seam (kernels are bit-exact between
-// their packed and unpacked paths, so the fast path changes nothing).
+// the pattern range produces bit-identical rows. In bundled mode pb is
+// tm packed by the engine's kernel, which therefore runs the product.
 func (e *Engine) applyBranch(tm *mat.Matrix, pb *blas.PackedB, partial, dst *mat.Matrix, scratch []float64, lo, hi int) {
 	switch e.cfg.Apply {
 	case ApplyPerSiteGEMV:
-		if e.cfg.Kernel == TierNaive {
-			for p := lo; p < hi; p++ {
-				blas.NaiveGemv(false, 1, tm, partial.Row(p), 0, dst.Row(p))
-			}
-		} else {
-			for p := lo; p < hi; p++ {
-				blas.Dgemv(false, 1, tm, partial.Row(p), 0, dst.Row(p))
-			}
+		for p := lo; p < hi; p++ {
+			blas.Dgemv(false, 1, tm, partial.Row(p), 0, dst.Row(p))
 		}
 	case ApplyPerSiteSYMV:
 		pi := e.pi
@@ -847,13 +823,9 @@ func (e *Engine) applyBranch(tm *mat.Matrix, pb *blas.PackedB, partial, dst *mat
 		}
 	case ApplyBundled:
 		// dst[p][i] = Σ_j partial[p][j]·P[i][j]: one row-ranged GEMM
-		// over the block's patterns (BLAS-3 bundling), against the
-		// pre-packed transition matrix when one is available.
-		if pb != nil {
-			blas.DgemmNTRowsPacked(1, partial, pb, 0, dst, lo, hi)
-		} else {
-			blas.DgemmNTRows(1, partial, tm, 0, dst, lo, hi)
-		}
+		// over the block's patterns (BLAS-3 bundling) against the
+		// pre-packed transition matrix.
+		blas.DgemmNTRowsPacked(1, partial, pb, 0, dst, lo, hi)
 	default:
 		panic(fmt.Sprintf("lik: unknown apply mode %d", e.cfg.Apply))
 	}
@@ -943,7 +915,7 @@ func (e *Engine) BranchLogLikelihood(v int, t float64) float64 {
 			e.branchWalkRange(v, blk.lo, blk.hi, e.pool.Vec(worker, e.n))
 		})
 	} else {
-		e.branchWalkRange(v, 0, e.npat, e.vecScratch[0])
+		e.branchWalkRange(v, 0, e.npat, e.vecScratch)
 	}
 
 	rootPartials := make([]*mat.Matrix, e.numClasses)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/align"
+	"repro/internal/blas"
 	"repro/internal/bsm"
 	"repro/internal/codon"
 	"repro/internal/expm"
@@ -110,11 +111,11 @@ func TestLogLikelihoodFiniteAndNegative(t *testing.T) {
 func TestAllStrategiesAgree(t *testing.T) {
 	f := smallFixture(t, bsm.H1, h1Params())
 	configs := []Config{
-		{Kernel: TierNaive, PMethod: expm.MethodGEMM, Apply: ApplyPerSiteGEMV},
-		{Kernel: TierTuned, PMethod: expm.MethodGEMM, Apply: ApplyPerSiteGEMV},
-		{Kernel: TierTuned, PMethod: expm.MethodSYRK, Apply: ApplyPerSiteGEMV},
-		{Kernel: TierTuned, PMethod: expm.MethodSYRK, Apply: ApplyPerSiteSYMV},
-		{Kernel: TierTuned, PMethod: expm.MethodSYRK, Apply: ApplyBundled},
+		{Kernel: blas.NaiveKernel, PMethod: expm.MethodGEMM, Apply: ApplyBundled},
+		{PMethod: expm.MethodGEMM, Apply: ApplyPerSiteGEMV},
+		{PMethod: expm.MethodSYRK, Apply: ApplyPerSiteGEMV},
+		{PMethod: expm.MethodSYRK, Apply: ApplyPerSiteSYMV},
+		{PMethod: expm.MethodSYRK, Apply: ApplyBundled},
 	}
 	ref := f.engine(t, configs[0]).LogLikelihood()
 	for _, cfg := range configs[1:] {
@@ -134,7 +135,7 @@ func TestAgainstBruteForceStarTree(t *testing.T) {
 		[]string{"A", "B", "C"},
 		[]string{"ATGTTT", "ATGTTC", "ACGTTT"},
 		bsm.H1, h1Params())
-	e := f.engine(t, Config{Kernel: TierTuned, PMethod: expm.MethodSYRK})
+	e := f.engine(t, Config{PMethod: expm.MethodSYRK})
 	got := e.LogLikelihood()
 
 	m := f.model

@@ -13,9 +13,8 @@ import (
 // Pool is a persistent set of worker goroutines that executes the
 // engine's independent work units — (class × pattern-block) pruning
 // tiles and per-(branch, slot) transition-matrix builds — the
-// decomposition of the likelihood cost that takes the engine from the
-// seed's 4-way class parallelism toward the fully parallel FastCodeML
-// the paper announces (§V-B).
+// decomposition of the likelihood cost that takes the engine toward
+// the fully parallel FastCodeML the paper announces (§V-B).
 //
 // Execution is worker-indexed: every task receives a stable worker ID
 // that indexes per-worker scratch arenas (expm workspaces, apply-mode

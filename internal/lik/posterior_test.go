@@ -71,9 +71,11 @@ func TestClassPosteriorsStrategyInvariant(t *testing.T) {
 	for _, cfg := range []Config{
 		{Apply: ApplyPerSiteSYMV},
 		{Apply: ApplyBundled},
-		{Apply: ApplyPerSiteGEMV, Parallel: true},
+		{Apply: ApplyPerSiteGEMV, Workers: 2},
 	} {
-		got := f.engine(t, cfg).ClassPosteriors()
+		e := f.engine(t, cfg)
+		got := e.ClassPosteriors()
+		e.Close()
 		for p := range ref {
 			for c := range ref[p] {
 				if math.Abs(got[p][c]-ref[p][c]) > 1e-9 {
@@ -84,12 +86,14 @@ func TestClassPosteriorsStrategyInvariant(t *testing.T) {
 	}
 }
 
-// Parallel class pruning must agree with serial execution exactly.
+// Parallel pruning must agree with serial execution exactly.
 func TestParallelPruningMatchesSerial(t *testing.T) {
 	f := smallFixture(t, bsm.H1, h1Params())
 	for _, apply := range []ApplyMode{ApplyPerSiteGEMV, ApplyPerSiteSYMV, ApplyBundled} {
 		serial := f.engine(t, Config{Apply: apply}).LogLikelihood()
-		parallel := f.engine(t, Config{Apply: apply, Parallel: true}).LogLikelihood()
+		e := f.engine(t, Config{Apply: apply, Workers: 2})
+		parallel := e.LogLikelihood()
+		e.Close()
 		if serial != parallel {
 			t.Fatalf("apply %d: parallel %0.15f != serial %0.15f", apply, parallel, serial)
 		}
@@ -99,7 +103,8 @@ func TestParallelPruningMatchesSerial(t *testing.T) {
 // BranchLogLikelihood must also work on a parallel-configured engine.
 func TestParallelBranchUpdate(t *testing.T) {
 	f := smallFixture(t, bsm.H1, h1Params())
-	e := f.engine(t, Config{Parallel: true})
+	e := f.engine(t, Config{Workers: 2})
+	defer e.Close()
 	e.LogLikelihood()
 	eSerial := f.engine(t, Config{})
 	eSerial.LogLikelihood()
