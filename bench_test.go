@@ -157,11 +157,11 @@ func BenchmarkExpm(b *testing.B) {
 	d := kernelFixture(b)
 	ws := d.NewWorkspace()
 	p := mat.New(d.N(), d.N())
-	// naive-gemm is Eq. 9 on the naive kernel, CodeML's hand-rolled
+	// naive-gemm is Eq. 9 on the hand-rolled kernel, CodeML's textbook
 	// loops; gemm and syrk run on the process default kernel.
 	b.Run("naive-gemm", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			d.PMatrixOn(blas.NaiveKernel, 0.37, expm.MethodGEMM, p, ws)
+			d.PMatrixOn(blas.HandRolledKernel, 0.37, expm.MethodGEMM, p, ws)
 		}
 	})
 	for _, m := range []expm.Method{expm.MethodGEMM, expm.MethodSYRK} {
@@ -209,11 +209,11 @@ func BenchmarkCondVec(b *testing.B) {
 	dst := mat.New(npat, n)
 	scratch := make([]float64, n)
 
-	// The naive kernel's one-row NT product is the textbook mat-vec.
+	// The hand-rolled kernel's one-row product is the textbook mat-vec.
 	b.Run("persite-naive-gemv", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for pt := 0; pt < npat; pt++ {
-				blas.NaiveKernel.DgemmNTRows(1, partial, p, 0, dst, pt, pt+1)
+				blas.HandRolledKernel.DgemmNTRows(1, partial, p, 0, dst, pt, pt+1)
 			}
 		}
 	})

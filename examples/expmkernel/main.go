@@ -81,8 +81,8 @@ func main() {
 		fmt.Printf("%-42s %10v per branch\n", name, d.Round(time.Nanosecond))
 		return d
 	}
-	dNaive := timeIt("Eq. 9, naive kernel (original CodeML)", func() {
-		dec.PMatrixOn(blas.NaiveKernel, t, expm.MethodGEMM, pGemm, ws)
+	dNaive := timeIt("Eq. 9, hand-rolled loops (original CodeML)", func() {
+		dec.PMatrixOn(blas.HandRolledKernel, t, expm.MethodGEMM, pGemm, ws)
 	})
 	dGemm := timeIt("Eq. 9, blocked dgemm (Z = ỸXᵀ, ~2n³)", func() {
 		dec.PMatrix(t, expm.MethodGEMM, pGemm, ws)

@@ -75,6 +75,11 @@ func requireBitEqual(t *testing.T, got, want *mat.Matrix, format string, args ..
 	}
 }
 
+// conformKernels is every kernel held to the bit-exact contract: the
+// registry plus the unregistered HandRolledKernel the baseline engine
+// pins.
+func conformKernels() []Kernel { return append(Kernels(), HandRolledKernel) }
+
 func naiveRef(t *testing.T) Kernel {
 	t.Helper()
 	ref, ok := KernelByName("naive")
@@ -127,7 +132,7 @@ func TestKernelConformance(t *testing.T) {
 							want := cloneVals(c0, pad)
 							ref.DgemmNT(alpha, a, b, beta, want)
 
-							for _, kr := range kernels {
+							for _, kr := range conformKernels() {
 								got := cloneVals(c0, pad)
 								kr.DgemmNT(alpha, a, b, beta, got)
 								requireBitEqual(t, got, want,
@@ -169,7 +174,7 @@ func TestKernelConformanceRowRanges(t *testing.T) {
 				lo, hi := rg[0], rg[1]
 				want := cloneVals(c0, 2)
 				ref.DgemmNTRows(1.25, a, b, -0.5, want, lo, hi)
-				for _, kr := range Kernels() {
+				for _, kr := range conformKernels() {
 					got := cloneVals(c0, 2)
 					kr.DgemmNTRows(1.25, a, b, -0.5, got, lo, hi)
 					requireBitEqual(t, got, want,
@@ -204,7 +209,7 @@ func TestKernelPartitionBitIdentical(t *testing.T) {
 		{0, 3, 4, 5, 8, 16, 31, 32, m},
 		{0, 7, 14, 21, 28, 35, 42, 49, 56, m},
 	}
-	for _, kr := range Kernels() {
+	for _, kr := range conformKernels() {
 		full := mat.New(m, n)
 		kr.DgemmNTRows(1, a, b, 0, full, 0, m)
 		var pb PackedB
@@ -262,7 +267,7 @@ func TestNaiveKernelMatchesTextbookLoops(t *testing.T) {
 func TestPackedBSnapshotSemantics(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	a := strided(rng, 8, 5, 0)
-	for _, kr := range Kernels() {
+	for _, kr := range conformKernels() {
 		b := strided(rng, 6, 5, 0)
 		var pb PackedB
 		kr.PackB(b, &pb)

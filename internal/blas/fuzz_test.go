@@ -7,7 +7,7 @@ import (
 )
 
 // FuzzDgemmNT fuzzes the kernel seam: random shapes, strides, scales
-// and operand values, every registered kernel checked bit-exactly
+// and operand values, every conformKernels() kernel checked bit-exactly
 // against the naive reference through all three entry points (full,
 // row-ranged, packed). CI runs this as a 30-second smoke on every
 // push; the committed corpus under testdata/fuzz/FuzzDgemmNT seeds the
@@ -45,7 +45,7 @@ func FuzzDgemmNT(f *testing.F) {
 		wantRows := cloneVals(c0, int(padC%5))
 		ref.DgemmNTRows(alpha, a, b, beta, wantRows, lo, hi)
 
-		for _, kr := range Kernels() {
+		for _, kr := range conformKernels() {
 			got := cloneVals(c0, int(padC%5))
 			kr.DgemmNT(alpha, a, b, beta, got)
 			requireBitEqual(t, got, want,

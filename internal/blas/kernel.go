@@ -26,19 +26,21 @@ import (
 // per-element floating-point operation sequence — but they may not
 // split an accumulation (partial α applications) or reassociate the
 // k sum. The conformance suite (conform_test.go) and the fuzz harness
-// (FuzzDgemmNT) enforce this for every kernel in the registry, so the
-// engine-level determinism contract (results bit-identical across
-// worker counts, tilings, shards, and resumes) extends across kernel
-// choices: switching kernels can never change a likelihood.
+// (FuzzDgemmNT) enforce this for every kernel in the registry and for
+// the unregistered HandRolledKernel, so the engine-level determinism
+// contract (results bit-identical across worker counts, tilings,
+// shards, and resumes) extends across kernel choices: switching
+// kernels can never change a likelihood.
 //
 // Selection: each lik engine names its kernel in its Config; engines
 // that leave it nil take the process default, which is DefaultKernel,
 // overridden by the KernelEnv environment variable at init and by
 // SetKernel (the cmds' -kernel flag) afterwards. The "naive" kernel is
-// always available as the reference fallback, and the baseline engine
-// pins it. A future build-tagged assembly or gonum-backed variant only
-// has to call Register from its own init and pass the conformance
-// suite — no caller changes.
+// always available as the reference fallback. The baseline engine pins
+// HandRolledKernel (naive.go) instead, whatever the default. A future
+// build-tagged assembly or gonum-backed variant only has to call
+// Register from its own init and pass the conformance suite — no
+// caller changes.
 
 // Kernel is one implementation of the NT product family. Methods may
 // assume validated arguments (the package-level dispatchers and the
@@ -193,7 +195,7 @@ func SetKernel(name string) error {
 }
 
 func init() {
-	Register(NaiveKernel)
+	Register(naiveKernel{})
 	Register(blockedKernel{})
 	name := os.Getenv(KernelEnv)
 	if name == "" {

@@ -8,11 +8,12 @@
 // The exported kernels are cache-blocked and register-tiled, standing
 // in for a tuned BLAS (GotoBLAS2 in the paper). The NT matrix products
 // the likelihood computation issues go through a runtime Kernel seam
-// (kernel.go): the "blocked" kernel is the tuned one, and the "naive"
-// kernel runs the straightforward textbook loops that stand in for the
-// hand-rolled C inside original CodeML. Naive vs tuned arithmetic is
-// chosen by kernel, and only by kernel. The Naive* functions are the
-// textbook oracles the tests check every kernel against.
+// (kernel.go): the "blocked" kernel is the tuned one, "naive" is the
+// registry's plain-loop reference, and the unregistered
+// HandRolledKernel runs the Naive* textbook loops that stand in for
+// the hand-rolled C inside original CodeML. Hand-rolled vs tuned
+// arithmetic is chosen by kernel, and only by kernel. The Naive*
+// functions are also the oracles the tests check every kernel against.
 package blas
 
 import "math"

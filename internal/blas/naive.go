@@ -3,9 +3,55 @@ package blas
 import "repro/internal/mat"
 
 // Naive reference routines. These are deliberately unblocked, untiled
-// textbook loops, kept as oracles: the tests check the optimized
-// routines and every registered Kernel against them. The engine's
-// naive arithmetic is the "naive" Kernel (NaiveKernel), not these.
+// textbook loops that read and write every element through the
+// bounds-checked mat accessors. They model the hand-rolled C inside
+// original CodeML v4.4c, which the paper replaces with tuned BLAS: the
+// baseline engine runs them through HandRolledKernel, so the
+// baseline-to-slim runtime contrast includes the tuned-vs-hand-rolled
+// component the paper measured. They are also the oracles the tests
+// check the optimized routines and every kernel against.
+
+// HandRolledKernel is the NT kernel of original CodeML's hand-rolled
+// loops: a whole product is one NaiveGemm (the Eq. 9 P(t) loop) and a
+// row range is one NaiveGemv per row (the per-site mat-vec). β is
+// applied up front exactly as the naive kernel applies it, so the
+// results are the naive kernel's bits at the textbook loops' cost. The
+// baseline engine pins it (lik.Config.Kernel). It is not registered,
+// so no -kernel flag or KernelEnv value selects it.
+var HandRolledKernel Kernel = handRolledKernel{}
+
+type handRolledKernel struct{}
+
+func (handRolledKernel) Name() string { return "hand-rolled" }
+
+func (handRolledKernel) DgemmNT(alpha float64, a, b *mat.Matrix, beta float64, c *mat.Matrix) {
+	scaleRows(beta, c, 0, c.Rows)
+	if alpha == 0 || a.Cols == 0 {
+		return
+	}
+	NaiveGemm(false, true, alpha, a, b, 1, c)
+}
+
+func (handRolledKernel) DgemmNTRows(alpha float64, a, b *mat.Matrix, beta float64, c *mat.Matrix, lo, hi int) {
+	scaleRows(beta, c, lo, hi)
+	if alpha == 0 || a.Cols == 0 {
+		return
+	}
+	for i := lo; i < hi; i++ {
+		NaiveGemv(false, alpha, b, a.Row(i), 1, c.Row(i))
+	}
+}
+
+// PackB snapshots B row-major, as the naive kernel does.
+func (hk handRolledKernel) PackB(b *mat.Matrix, pb *PackedB) {
+	naiveKernel{}.PackB(b, pb)
+	pb.owner = hk
+}
+
+func (hk handRolledKernel) DgemmNTRowsPacked(alpha float64, a *mat.Matrix, pb *PackedB, beta float64, c *mat.Matrix, lo, hi int) {
+	b := mat.Matrix{Rows: pb.rows, Cols: pb.depth, Stride: pb.depth, Data: pb.buf}
+	hk.DgemmNTRows(alpha, a, &b, beta, c, lo, hi)
+}
 
 // NaiveGemm computes C ← α·op(A)·op(B) + βC with plain i-j-k loops.
 func NaiveGemm(transA, transB bool, alpha float64, a, b *mat.Matrix, beta float64, c *mat.Matrix) {

@@ -11,11 +11,6 @@ import "repro/internal/mat"
 // conformance suite always has its oracle.
 type naiveKernel struct{}
 
-// NaiveKernel is the registry's "naive" reference kernel. The baseline
-// engine pins it (lik.Config.Kernel) so its P(t) and apply products run
-// the plain loops of CodeML's hand-rolled C.
-var NaiveKernel Kernel = naiveKernel{}
-
 func (naiveKernel) Name() string { return "naive" }
 
 func (nk naiveKernel) DgemmNT(alpha float64, a, b *mat.Matrix, beta float64, c *mat.Matrix) {

@@ -146,8 +146,8 @@ func (l *paramLayout) unpack(x []float64) bsm.Params {
 	return p
 }
 
-// install pushes the external parameters into the likelihood engine
-// and, when lens (indexed by node ID) is non-nil, the branch lengths.
+// install pushes the external parameters and the branch lengths
+// (indexed by node ID) into the likelihood engine.
 func (an *Analysis) install(h bsm.Hypothesis, p bsm.Params, lens []float64) error {
 	m, err := bsm.New(an.opts.Code, h, p, an.pi)
 	if err != nil {
@@ -155,9 +155,6 @@ func (an *Analysis) install(h bsm.Hypothesis, p bsm.Params, lens []float64) erro
 	}
 	if err := an.eng.SetModel(m); err != nil {
 		return err
-	}
-	if lens == nil {
-		return nil
 	}
 	return an.eng.SetBranchLengths(lens)
 }

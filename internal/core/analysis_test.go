@@ -64,7 +64,7 @@ func TestFitImprovesLikelihood(t *testing.T) {
 	}
 	// Likelihood at the starting point.
 	p0 := an.initialParams(bsm.H1)
-	if err := an.install(bsm.H1, p0, nil); err != nil {
+	if err := an.install(bsm.H1, p0, an.eng.BranchLengths()); err != nil {
 		t.Fatal(err)
 	}
 	startLnL := an.eng.LogLikelihood()
@@ -159,7 +159,7 @@ func TestEnginesAgreePointwise(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := an.install(bsm.H1, p, nil); err != nil {
+		if err := an.install(bsm.H1, p, an.eng.BranchLengths()); err != nil {
 			t.Fatal(err)
 		}
 		vals = append(vals, an.eng.LogLikelihood())

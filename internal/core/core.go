@@ -9,7 +9,7 @@
 //
 //   - EngineBaseline mirrors original CodeML v4.4c: the Eq. 9 matrix
 //     exponential (general Z = Ỹ Xᵀ) and the per-site mat-vecs both
-//     on the naive kernel's hand-rolled loops, forward-difference
+//     on the hand-rolled kernel's textbook loops, forward-difference
 //     gradients and a halving line search (PAML ming2 style).
 //   - EngineSlim is SlimCodeML as evaluated in the paper: the Eq. 10
 //     dsyrk exponential with blocked kernels and per-site dgemv.
@@ -149,10 +149,10 @@ func ParseFreqEstimator(s string) (FreqEstimator, error) {
 func (k EngineKind) LikConfig() lik.Config {
 	switch k {
 	case EngineBaseline:
-		// The naive kernel's NT row product is exactly the per-site
-		// textbook mat-vec, so bundling on it keeps CodeML's
-		// hand-rolled cost in both P(t) and the apply.
-		return lik.Config{Kernel: blas.NaiveKernel, PMethod: expm.MethodGEMM, Apply: lik.ApplyBundled}
+		// The hand-rolled kernel's row product is one textbook mat-vec
+		// per site, so bundling on it keeps CodeML's hand-rolled cost
+		// in both P(t) and the apply.
+		return lik.Config{Kernel: blas.HandRolledKernel, PMethod: expm.MethodGEMM, Apply: lik.ApplyBundled}
 	case EngineSlim:
 		return lik.Config{PMethod: expm.MethodSYRK, Apply: lik.ApplyPerSiteGEMV}
 	case EngineSlimSym:

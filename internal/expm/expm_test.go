@@ -102,7 +102,8 @@ func TestPNonNegative(t *testing.T) {
 
 // The central claim behind Eq. 10: GEMM and SYRK paths compute the
 // same matrix. MethodGEMM is moreover bit-identical to Eq. 9 computed
-// with the textbook blas.NaiveGemm, under every registered kernel.
+// with the textbook blas.NaiveGemm, under every registered kernel and
+// the baseline's hand-rolled one.
 func TestGEMMAndSYRKAgree(t *testing.T) {
 	r := testRate(t, 1.8, 1.4, 33)
 	d := decompose(t, r)
@@ -137,7 +138,7 @@ func TestGEMMAndSYRKAgree(t *testing.T) {
 				want.Set(i, j, v)
 			}
 		}
-		for _, k := range blas.Kernels() {
+		for _, k := range append(blas.Kernels(), blas.HandRolledKernel) {
 			d.PMatrixOn(k, tt, MethodGEMM, pg, ws)
 			for i := range want.Data {
 				if math.Float64bits(pg.Data[i]) != math.Float64bits(want.Data[i]) {

@@ -15,9 +15,9 @@
 // The arithmetic behind the NT products is a second, independent axis:
 // Config.Kernel names the blas.Kernel that runs the engine's P(t) GEMM
 // (expm.MethodGEMM) and the bundled apply. The baseline engine pins
-// the naive kernel, whose NT row product is exactly the textbook
-// per-site mat-vec of CodeML's hand-rolled loops; every other engine
-// takes the process default. Kernels are bit-exact against each other,
+// blas.HandRolledKernel, whose row product is the textbook per-site
+// mat-vec of CodeML's hand-rolled loops; every other engine takes the
+// process default. Kernels are bit-exact against each other,
 // so the kernel changes speed, never a likelihood, and the engine never
 // branches on which one it holds.
 //

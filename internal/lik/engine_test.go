@@ -111,7 +111,7 @@ func TestLogLikelihoodFiniteAndNegative(t *testing.T) {
 func TestAllStrategiesAgree(t *testing.T) {
 	f := smallFixture(t, bsm.H1, h1Params())
 	configs := []Config{
-		{Kernel: blas.NaiveKernel, PMethod: expm.MethodGEMM, Apply: ApplyBundled},
+		{Kernel: blas.HandRolledKernel, PMethod: expm.MethodGEMM, Apply: ApplyBundled},
 		{PMethod: expm.MethodGEMM, Apply: ApplyPerSiteGEMV},
 		{PMethod: expm.MethodSYRK, Apply: ApplyPerSiteGEMV},
 		{PMethod: expm.MethodSYRK, Apply: ApplyPerSiteSYMV},

@@ -12,15 +12,13 @@ import (
 	"repro/internal/newick"
 )
 
-// The baseline engine pins the naive kernel whatever the process
+// The baseline engine pins the hand-rolled kernel whatever the process
 // default is: every transition matrix it packs, cached or scratch, is
-// packed by "naive" while the default is "blocked", and a bundled slim
-// engine in the same process packs with the default.
-func TestBaselineEnginePacksWithNaiveKernel(t *testing.T) {
+// packed by "hand-rolled" while the default is "blocked" or "naive",
+// and a bundled slim engine in the same process packs with the
+// default.
+func TestBaselineEnginePacksWithHandRolledKernel(t *testing.T) {
 	prev := blas.ActiveKernel().Name()
-	if err := blas.SetKernel("blocked"); err != nil {
-		t.Fatal(err)
-	}
 	defer blas.SetKernel(prev)
 
 	tr, err := newick.Parse("((A:0.1,B:0.2)#1:0.05,C:0.3,D:0.15);")
@@ -39,29 +37,35 @@ func TestBaselineEnginePacksWithNaiveKernel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		kind core.EngineKind
-		want string
-	}{
-		{core.EngineBaseline, "naive"},
-		{core.EngineSlimBundled, "blocked"},
-	} {
-		e, err := lik.New(tr, pats, names, tc.kind.LikConfig())
-		if err != nil {
+	for _, def := range []string{"blocked", "naive"} {
+		if err := blas.SetKernel(def); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.SetModel(m); err != nil {
-			t.Fatal(err)
-		}
-		e.LogLikelihood()
-		e.BranchLogLikelihood(e.BranchIDs()[0], 0.3)
-		got := lik.PackKernels(e)
-		if len(got) == 0 {
-			t.Fatalf("%v: engine packed no transition matrices", tc.kind)
-		}
-		for _, k := range got {
-			if k != tc.want {
-				t.Fatalf("%v: transition packed by %q, want %q (packs %v)", tc.kind, k, tc.want, got)
+		for _, tc := range []struct {
+			kind core.EngineKind
+			want string
+		}{
+			{core.EngineBaseline, "hand-rolled"},
+			{core.EngineSlimBundled, def},
+		} {
+			e, err := lik.New(tr, pats, names, tc.kind.LikConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.SetModel(m); err != nil {
+				t.Fatal(err)
+			}
+			e.LogLikelihood()
+			e.BranchLogLikelihood(e.BranchIDs()[0], 0.3)
+			got := lik.PackKernels(e)
+			if len(got) == 0 {
+				t.Fatalf("%v: engine packed no transition matrices", tc.kind)
+			}
+			for _, k := range got {
+				if k != tc.want {
+					t.Fatalf("%v under default %q: transition packed by %q, want %q (packs %v)",
+						tc.kind, def, k, tc.want, got)
+				}
 			}
 		}
 	}
