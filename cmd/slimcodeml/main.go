@@ -72,7 +72,7 @@ func main() {
 		shard     = flag.String("shard", "", "streaming mode: run only shard i of n (\"i/n\", 1-based) of the manifest rows — one process per shard scales a manifest across machines; JSONL outputs concatenate")
 		resume    = flag.Bool("resume", false, "streaming mode (JSONL -out): checkpoint every gene to <out>.ckpt and continue a killed run from its last checkpoint; rerun the identical command to resume")
 		countCach = flag.String("countcache", "", "streaming mode: sidecar codon-count cache file for the -sharefreq pre-pass (warm cache = metadata-only pass)")
-		cacheDir  = flag.String("cachedir", "", "streaming mode: cross-run warm cache directory — re-runs of already-analyzed rows replay byte-identically with zero fitting; decompositions persist across runs")
+		cacheDir  = flag.String("cachedir", "", "streaming mode: cross-run warm cache directory — re-runs of already-analyzed rows replay byte-identically with zero fitting")
 		warmStart = flag.Bool("warmstart", false, "streaming mode (with -cachedir): seed optimizers from the cache's last MLE when a gene's inputs match but options differ (relaxes bit-determinism)")
 		outPath   = flag.String("out", "", "streaming mode: results file (.jsonl or .tsv; empty = TSV on stdout)")
 		outFmt    = flag.String("outfmt", "auto", "streaming output format: jsonl, tsv or auto (by -out extension)")

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/align"
 	"repro/internal/core"
+	"repro/internal/manifest"
 	"repro/internal/persistcache"
 )
 
@@ -73,6 +75,65 @@ func TestWarmCacheReplayParity(t *testing.T) {
 	}
 	if c := store.Counters(); c.ResultHits != len(entries) {
 		t.Fatalf("warm run scored %d result hits, want %d", c.ResultHits, len(entries))
+	}
+}
+
+// TestWarmCacheAcrossPathSpellings fills the cache through a manifest
+// with relative paths and re-runs the same genes through absolute-path
+// entries (the spelling the fan-out coordinator sends): the result tier
+// keys on the absolute paths, so every gene replays byte-identically
+// with zero eigendecompositions.
+func TestWarmCacheAcrossPathSpellings(t *testing.T) {
+	entries := simManifest(t, 4)
+	opts, store := warmOpts(t, false)
+
+	dir := filepath.Dir(entries[0].AlignPath)
+	var rel bytes.Buffer
+	for _, e := range entries {
+		fmt.Fprintf(&rel, "%s\t%s\t%s\n", e.Name, filepath.Base(e.AlignPath), filepath.Base(e.TreePath))
+	}
+	if err := os.WriteFile(filepath.Join(dir, "m.tsv"), rel.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Chdir(dir)
+	relEntries, err := manifest.Load("m.tsv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if filepath.IsAbs(relEntries[0].AlignPath) {
+		t.Fatalf("relative manifest loaded absolute path %s", relEntries[0].AlignPath)
+	}
+
+	coldOut := filepath.Join(t.TempDir(), "cold.jsonl")
+	if _, err := Run(context.Background(), RunConfig{Entries: relEntries, OutPath: coldOut, Opts: opts}); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(coldOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	warmOut := filepath.Join(t.TempDir(), "warm.jsonl")
+	warmSum, err := Run(context.Background(), RunConfig{Entries: entries, OutPath: warmOut, Opts: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warmSum.Replayed != len(entries) {
+		t.Fatalf("absolute-path run replayed %d genes, want all %d", warmSum.Replayed, len(entries))
+	}
+	if warmSum.CacheHits != 0 || warmSum.CacheMisses != 0 {
+		t.Fatalf("absolute-path run touched the decomposition cache: %d hits / %d misses",
+			warmSum.CacheHits, warmSum.CacheMisses)
+	}
+	got, err := os.ReadFile(warmOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("absolute-path replay is not byte-identical to the relative-path cold run")
+	}
+	if c := store.Counters(); c.ResultHits != len(entries) {
+		t.Fatalf("absolute-path run scored %d result hits, want %d", c.ResultHits, len(entries))
 	}
 }
 
@@ -166,63 +227,6 @@ func TestWarmCacheKillResume(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatal("killed-and-resumed warm run is not byte-identical to the cold run")
-	}
-}
-
-// TestWarmCacheDecompTier exercises the decomposition tier in
-// isolation: with the result tier emptied, a re-run must load its
-// eigendecompositions from disk instead of recomputing them, and the
-// output must stay byte-identical.
-func TestWarmCacheDecompTier(t *testing.T) {
-	entries := simManifest(t, 4)
-	opts, store := warmOpts(t, false)
-
-	out1 := filepath.Join(t.TempDir(), "run1.jsonl")
-	if _, err := Run(context.Background(), RunConfig{Entries: entries, OutPath: out1, Opts: opts}); err != nil {
-		t.Fatal(err)
-	}
-	c := store.Counters()
-	if c.DecompWrites == 0 {
-		t.Fatal("cold run spilled no decompositions")
-	}
-	want, err := os.ReadFile(out1)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Empty the result tier so every gene refits, decompositions intact.
-	resultDir := filepath.Join(store.Dir(), "result")
-	ents, err := os.ReadDir(resultDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range ents {
-		if err := os.Remove(filepath.Join(resultDir, e.Name())); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	out2 := filepath.Join(t.TempDir(), "run2.jsonl")
-	sum, err := Run(context.Background(), RunConfig{Entries: entries, OutPath: out2, Opts: opts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Replayed != 0 {
-		t.Fatalf("replayed %d genes with an empty result tier", sum.Replayed)
-	}
-	c2 := store.Counters()
-	if c2.DecompHits == c.DecompHits {
-		t.Fatal("re-run loaded no decompositions from the persistent tier")
-	}
-	if c2.DecompWrites != c.DecompWrites {
-		t.Fatalf("re-run rewrote decompositions: %d writes, had %d", c2.DecompWrites, c.DecompWrites)
-	}
-	got, err := os.ReadFile(out2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("run with disk-restored decompositions is not byte-identical to the cold run")
 	}
 }
 

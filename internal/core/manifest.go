@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 
 	"repro/internal/align"
@@ -89,14 +90,16 @@ func (s *ManifestSource) Next() (*Gene, error) {
 	// cross-checked against the row so a short-digest collision
 	// degrades to a miss, never a wrong gene.
 	var fmeta persistcache.FileMeta
+	var row string
 	haveMeta := false
 	if s.persist != nil {
+		row = persistRow(e)
 		as, am, okA := persistcache.StatFile(e.AlignPath)
 		ts, tm, okT := persistcache.StatFile(e.TreePath)
 		if okA && okT {
 			fmeta = persistcache.FileMeta{AlignSize: as, AlignMTimeNS: am, TreeSize: ts, TreeMTimeNS: tm}
 			haveMeta = true
-			if raw, ok := s.persist.LookupResult(e.Digest(), s.persistFP, fmeta); ok {
+			if raw, ok := s.persist.LookupResult(row, s.persistFP, fmeta); ok {
 				var rec GeneRecord
 				if err := json.Unmarshal(raw, &rec); err == nil && rec.Name == e.Name && rec.Error == "" {
 					return &Gene{Name: e.Name, replay: &rec}, nil
@@ -115,7 +118,7 @@ func (s *ManifestSource) Next() (*Gene, error) {
 	}
 	g := &Gene{Name: e.Name, Alignment: a, Tree: t}
 	if haveMeta {
-		g.rowDigest = e.Digest()
+		g.rowDigest = row
 		g.fmeta = fmeta
 		g.haveMeta = true
 		if s.warm {
@@ -125,6 +128,20 @@ func (s *ManifestSource) Next() (*Gene, error) {
 		}
 	}
 	return g, nil
+}
+
+// persistRow is the result tier's key for one entry: the row digest
+// with both paths made absolute, so a relative and an absolute spelling
+// of the same files share one cache entry. (The checkpoint ledger keeps
+// e.Digest(), so existing ledgers still resume.)
+func persistRow(e manifest.Entry) string {
+	if p, err := filepath.Abs(e.AlignPath); err == nil {
+		e.AlignPath = p
+	}
+	if p, err := filepath.Abs(e.TreePath); err == nil {
+		e.TreePath = p
+	}
+	return e.Digest()
 }
 
 // Reset rewinds to the first entry.

@@ -106,11 +106,8 @@ type StreamOptions struct {
 	Decomps *lik.DecompCache
 	// Persist, when non-nil, is the cross-run warm cache: sources that
 	// support it (ManifestSource) replay already-stored results
-	// byte-identically instead of fitting, successful fits are stored
-	// back, and — when Decomps is nil — the stream's internal
-	// eigendecomposition cache spills to / reloads from the store.
-	// (An externally owned Decomps attaches its own store via
-	// lik.DecompCache.WithStore.)
+	// byte-identically instead of fitting, and successful fits are
+	// stored back.
 	Persist *persistcache.Store
 	// PersistFingerprint is the options fingerprint store entries are
 	// keyed under — checkpoint.OptionsFingerprint of this run's options.
@@ -205,9 +202,6 @@ func RunBatchStream(ctx context.Context, src GeneSource, sink ResultSink, opts S
 			cacheSize = 256
 		}
 		cache = lik.NewDecompCache(cacheSize)
-		if opts.Persist != nil {
-			cache.WithStore(opts.Persist)
-		}
 	}
 	geneOpts.decomps = cache
 	hits0, misses0 := cache.Stats()

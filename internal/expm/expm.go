@@ -304,54 +304,3 @@ func (d *Decomposition) ApplySym(m *mat.Matrix, w, dst, scratch []float64) {
 		}
 	}
 }
-
-// Pi returns the stationary distribution the decomposition was built
-// with. The slice must not be modified.
-func (d *Decomposition) Pi() []float64 { return d.pi }
-
-// Vectors returns the eigenvector matrix X of the symmetrized rate
-// matrix (columns are eigenvectors, in the order of Eigenvalues). The
-// matrix must not be modified.
-func (d *Decomposition) Vectors() *mat.Matrix { return d.x }
-
-// Restore rebuilds a Decomposition from its persisted parts — the π
-// vector, eigenvalues and eigenvector matrix a previous process
-// computed with Decompose. The derived fields are recomputed exactly:
-// √π via math.Sqrt (correctly rounded, so bit-identical to the
-// original), 1/√π as the same IEEE-754 division, and the packed
-// eigenvector operand via the same blas.PackNT call — so a restored
-// decomposition produces bit-identical P(t) matrices to the one that
-// was stored. Restore validates dimensions and positivity only; it
-// cannot tell a genuine eigendecomposition from arbitrary numbers, so
-// callers (the persistent cache) must authenticate the data, e.g. by
-// checksumming the stored file and digesting the rate's identity into
-// its key.
-func Restore(pi, lambda []float64, x *mat.Matrix) (*Decomposition, error) {
-	n := len(pi)
-	if n == 0 {
-		return nil, fmt.Errorf("expm: restore: empty π")
-	}
-	if len(lambda) != n {
-		return nil, fmt.Errorf("expm: restore: %d eigenvalues for n=%d", len(lambda), n)
-	}
-	if x.Rows != n || x.Cols != n {
-		return nil, fmt.Errorf("expm: restore: eigenvector matrix is %d×%d for n=%d", x.Rows, x.Cols, n)
-	}
-	d := &Decomposition{
-		n:         n,
-		pi:        mat.VecClone(pi),
-		sqrtPi:    make([]float64, n),
-		invSqrtPi: make([]float64, n),
-		lambda:    mat.VecClone(lambda),
-		x:         x.Clone(),
-	}
-	for i, p := range pi {
-		if !(p > 0) {
-			return nil, fmt.Errorf("expm: restore: π[%d] = %g must be positive", i, p)
-		}
-		d.sqrtPi[i] = math.Sqrt(p)
-		d.invSqrtPi[i] = 1 / d.sqrtPi[i]
-	}
-	d.xp = blas.PackNT(d.x, nil)
-	return d, nil
-}

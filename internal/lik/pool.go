@@ -183,34 +183,9 @@ type DecompCache struct {
 	max       int
 	entries   map[decompKey]*list.Element // values hold *decompEntry
 	order     *list.List                  // LRU order, most recent at front
-	store     DecompStore
 	hits      int
 	misses    int
 	evictions int
-}
-
-// DecompStore is an optional second, persistent tier behind the
-// in-memory cache (implemented by persistcache.Store — declared here so
-// lik does not depend on the persistence layer). Load returns the
-// stored decomposition for the rate's exact parameters or nil on any
-// miss; Store persists one, best effort. Implementations must be safe
-// for concurrent use and must only return decompositions that are
-// bit-identical to what expm.Decompose would produce for the rate —
-// the cache layers the determinism contract on that guarantee.
-type DecompStore interface {
-	Load(r *codon.Rate) *expm.Decomposition
-	Store(r *codon.Rate, d *expm.Decomposition)
-}
-
-// WithStore attaches a persistent tier: in-memory misses probe the
-// store before reporting a miss, and Put writes through to it. Returns
-// the cache for chaining. Attach before sharing the cache across
-// goroutines.
-func (c *DecompCache) WithStore(s DecompStore) *DecompCache {
-	c.mu.Lock()
-	c.store = s
-	c.mu.Unlock()
-	return c
 }
 
 // NewDecompCache returns a cache holding at most max decompositions
@@ -262,57 +237,27 @@ func sameVec(a, b []float64) bool {
 func (c *DecompCache) Get(r *codon.Rate) *expm.Decomposition {
 	key := rateKey(r)
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
 		e := el.Value.(*decompEntry)
 		if sameVec(e.pi, r.Pi) {
 			c.hits++
 			c.order.MoveToFront(el)
-			c.mu.Unlock()
 			return e.d
 		}
 	}
-	store := c.store
-	if store == nil {
-		c.misses++
-		c.mu.Unlock()
-		return nil
-	}
-	c.mu.Unlock()
-	// Probe the persistent tier outside the lock: file I/O must not
-	// serialize concurrent engines sharing this cache.
-	d := store.Load(r)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if d == nil {
-		c.misses++
-		return nil
-	}
-	c.hits++
-	c.insert(key, r, d)
-	return d
+	c.misses++
+	return nil
 }
 
 // Put stores a decomposition under the rate's parameters, evicting the
-// least-recently-used entry when full, and writes through to the
-// persistent tier when one is attached.
+// least-recently-used entry when full. A concurrent Put of the same key
+// (two engines both missing and both decomposing the same rate) leaves
+// the first entry in place.
 func (c *DecompCache) Put(r *codon.Rate, d *expm.Decomposition) {
 	key := rateKey(r)
 	c.mu.Lock()
-	_, existed := c.entries[key]
-	if !existed {
-		c.insert(key, r, d)
-	}
-	store := c.store
-	c.mu.Unlock()
-	if !existed && store != nil {
-		store.Store(r, d)
-	}
-}
-
-// insert adds an entry under c.mu; a concurrent insert of the same key
-// (two engines both missing memory and both loading from the store)
-// leaves the first entry in place.
-func (c *DecompCache) insert(key decompKey, r *codon.Rate, d *expm.Decomposition) {
+	defer c.mu.Unlock()
 	if _, ok := c.entries[key]; ok {
 		return
 	}

@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-
-	"repro/internal/mat"
 )
 
 // Float vectors are persisted as concatenated fixed-width hex IEEE-754
@@ -46,120 +44,7 @@ func decodeFloats(s string, want int) ([]float64, error) {
 	return out, nil
 }
 
-const (
-	decompFileVersion = 1
-	resultFileVersion = 1
-)
-
-// decompFile is the on-disk shape of one persisted eigendecomposition.
-// All float payloads are hex bit patterns (encodeFloats); Sum
-// authenticates the payload so a torn or bit-flipped file is detected
-// and treated as a miss, never restored.
-type decompFile struct {
-	Version int    `json:"version"`
-	Key     string `json:"key"`  // rate digest the file is stored under
-	Code    string `json:"code"` // genetic code name, for operators reading the file
-	N       int    `json:"n"`
-	Kappa   string `json:"kappa"`
-	Omega   string `json:"omega"`
-	Pi      string `json:"pi"`     // n values
-	Lambda  string `json:"lambda"` // n values
-	X       string `json:"x"`      // n×n values, row-major
-	Sum     string `json:"sum"`    // sha256 over the payload fields
-}
-
-// sum computes the file's authentication digest over every
-// result-affecting field.
-func (f *decompFile) sum() string {
-	h := sha256.New()
-	fmt.Fprintf(h, "v%d\x00%s\x00%s\x00%d\x00%s\x00%s\x00%s\x00%s\x00%s",
-		f.Version, f.Key, f.Code, f.N, f.Kappa, f.Omega, f.Pi, f.Lambda, f.X)
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// decompPayload is a decoded, verified decomposition file.
-type decompPayload struct {
-	key          string
-	code         string
-	kappa, omega float64
-	pi           []float64
-	lambda       []float64
-	x            *mat.Matrix
-}
-
-// decodeDecompFile parses and authenticates one persisted
-// decomposition. Any defect — bad JSON, version or dimension mismatch,
-// malformed or short float payloads, checksum mismatch, non-positive π
-// — is an error; the caller treats every error as a cache miss.
-func decodeDecompFile(data []byte) (*decompPayload, error) {
-	var f decompFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("persistcache: decomp entry: %w", err)
-	}
-	if f.Version != decompFileVersion {
-		return nil, fmt.Errorf("persistcache: decomp entry version %d, want %d", f.Version, decompFileVersion)
-	}
-	// Bound n before allocating: a corrupt header must not ask for a
-	// gigabyte of matrix. No genetic code has more than 64 states.
-	if f.N <= 0 || f.N > 64 {
-		return nil, fmt.Errorf("persistcache: decomp entry n=%d out of range", f.N)
-	}
-	if f.Sum != f.sum() {
-		return nil, fmt.Errorf("persistcache: decomp entry checksum mismatch")
-	}
-	kappa, err := decodeFloats(f.Kappa, 1)
-	if err != nil {
-		return nil, err
-	}
-	omega, err := decodeFloats(f.Omega, 1)
-	if err != nil {
-		return nil, err
-	}
-	pi, err := decodeFloats(f.Pi, f.N)
-	if err != nil {
-		return nil, err
-	}
-	for i, v := range pi {
-		if !(v > 0) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("persistcache: decomp entry π[%d] = %g not a positive frequency", i, v)
-		}
-	}
-	lambda, err := decodeFloats(f.Lambda, f.N)
-	if err != nil {
-		return nil, err
-	}
-	xv, err := decodeFloats(f.X, f.N*f.N)
-	if err != nil {
-		return nil, err
-	}
-	return &decompPayload{
-		key: f.Key, code: f.Code, kappa: kappa[0], omega: omega[0],
-		pi: pi, lambda: lambda, x: mat.NewFromSlice(f.N, f.N, xv),
-	}, nil
-}
-
-// encodeDecompFile renders a payload with its checksum.
-func encodeDecompFile(p *decompPayload) ([]byte, error) {
-	n := len(p.pi)
-	// Flatten row by row: the eigenvector matrix may be a strided view.
-	xv := make([]float64, 0, n*n)
-	for i := 0; i < n; i++ {
-		xv = append(xv, p.x.Row(i)...)
-	}
-	f := decompFile{
-		Version: decompFileVersion,
-		Key:     p.key,
-		Code:    p.code,
-		N:       n,
-		Kappa:   encodeFloats([]float64{p.kappa}),
-		Omega:   encodeFloats([]float64{p.omega}),
-		Pi:      encodeFloats(p.pi),
-		Lambda:  encodeFloats(p.lambda),
-		X:       encodeFloats(xv),
-	}
-	f.Sum = f.sum()
-	return json.Marshal(f)
-}
+const resultFileVersion = 1
 
 // WarmSeed is the optimizer starting point a previous run's H1 MLE
 // provides: the five branch-site model parameters plus the fitted
@@ -227,8 +112,8 @@ type ResultEntry struct {
 const maxResultLens = 1 << 20
 
 // decodeResultFile parses and authenticates one persisted result
-// entry. As with decodeDecompFile, every defect is an error and every
-// error is a miss.
+// entry. Every defect is an error, and the caller treats every error
+// as a miss.
 func decodeResultFile(data []byte) (*ResultEntry, error) {
 	var f resultFile
 	if err := json.Unmarshal(data, &f); err != nil {

@@ -1,28 +1,18 @@
-// Package persistcache is the cross-run warm cache: it persists the
-// two most expensive products of a SlimCodeML run — eigendecompositions
-// and per-gene final results — to a sidecar directory so that daemon
-// restarts and re-runs of already-analyzed manifests are
-// metadata-bound instead of compute-bound.
+// Package persistcache is the cross-run warm cache: it persists each
+// gene's final result to a sidecar directory so that daemon restarts
+// and re-runs of already-analyzed manifests replay whole genes instead
+// of refitting them.
 //
-// The store holds two tiers of entries, one small file each:
-//
-//   - Decompositions (dir/decomp/<digest>.json): keyed on a sha256
-//     digest of the rate matrix's full identity — genetic code name,
-//     state count, κ, ω, π and the exchangeability matrix S, all by
-//     exact IEEE-754 bits. lik.DecompCache probes the store on an
-//     in-memory miss and writes through on Put (the DecompStore
-//     interface), so a restarted daemon reloads its decompositions
-//     instead of recomputing them. Restored decompositions are
-//     bit-identical to freshly computed ones (see expm.Restore).
-//   - Results (dir/result/<row-digest>.json): keyed on the manifest
-//     row digest, holding the gene's deterministic JSONL record, the
-//     options fingerprint (including the resolved π digest) it was
-//     computed under, the input files' size+mtime, and the H1 MLE. A
-//     full match — fingerprint and file metadata — replays the record
-//     byte-identically with zero optimizer iterations; a row-digest
-//     match alone can seed the optimizer when the caller opted into
-//     warm starts (a documented contract relaxation; see
-//     docs/ARCHITECTURE.md).
+// The store holds one small file per gene,
+// dir/result/<row-digest>.json, keyed on the manifest row digest of the
+// gene's name and absolute input paths. It holds the gene's
+// deterministic JSONL record, the options fingerprint (including the
+// resolved π digest) it was computed under, the input files'
+// size+mtime, and the H1 MLE. A full match — fingerprint and file
+// metadata — replays the record byte-identically with zero optimizer
+// iterations; a row-digest match alone can seed the optimizer when the
+// caller opted into warm starts (a documented contract relaxation; see
+// docs/ARCHITECTURE.md).
 //
 // Every entry follows manifest.CountCache's discipline: writes go
 // through a temp file and atomic rename (concurrent processes sharing
@@ -35,18 +25,10 @@
 package persistcache
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"fmt"
-	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"sync"
-
-	"repro/internal/codon"
-	"repro/internal/expm"
 )
 
 // Store is a persistent warm cache rooted at one directory. It is safe
@@ -63,12 +45,6 @@ type Store struct {
 // through the daemon's /healthz so warm-vs-cold behavior is observable
 // without log spelunking.
 type Counters struct {
-	// DecompHits / DecompMisses count persistent-tier probes from the
-	// in-memory DecompCache (an in-memory hit never reaches the store).
-	DecompHits   int `json:"decomp_hits"`
-	DecompMisses int `json:"decomp_misses"`
-	// DecompWrites counts decompositions spilled to disk.
-	DecompWrites int `json:"decomp_writes"`
 	// ResultHits counts full-match result replays; ResultMisses counts
 	// lookups that found no replayable entry.
 	ResultHits   int `json:"result_hits"`
@@ -82,10 +58,8 @@ type Counters struct {
 
 // Open creates (if needed) and returns the store rooted at dir.
 func Open(dir string) (*Store, error) {
-	for _, d := range []string{dir, filepath.Join(dir, "decomp"), filepath.Join(dir, "result")} {
-		if err := os.MkdirAll(d, 0o755); err != nil {
-			return nil, fmt.Errorf("persistcache: %w", err)
-		}
+	if err := os.MkdirAll(filepath.Join(dir, "result"), 0o755); err != nil {
+		return nil, fmt.Errorf("persistcache: %w", err)
 	}
 	return &Store{dir: dir}, nil
 }
@@ -100,91 +74,8 @@ func (s *Store) Counters() Counters {
 	return s.c
 }
 
-// RateDigest fingerprints a rate matrix's full identity: the genetic
-// code's name and state count, κ, ω, π and the exchangeability matrix
-// S, all by exact IEEE-754 bits. Equal digests mean the same symmetric
-// eigenproblem, so a persisted decomposition stored under the digest
-// is valid for any rate that reproduces it (π is additionally verified
-// in full on load, so even a digest collision degrades to a miss).
-func RateDigest(r *codon.Rate) string {
-	h := sha256.New()
-	io.WriteString(h, r.Code.Name())
-	h.Write([]byte{0})
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(len(r.Pi)))
-	h.Write(b[:])
-	writeBits := func(v float64) {
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-		h.Write(b[:])
-	}
-	writeBits(r.Kappa)
-	writeBits(r.Omega)
-	for _, v := range r.Pi {
-		writeBits(v)
-	}
-	n := r.S.Rows
-	for i := 0; i < n; i++ {
-		for _, v := range r.S.Row(i) {
-			writeBits(v)
-		}
-	}
-	return hex.EncodeToString(h.Sum(nil))[:32]
-}
-
-func (s *Store) decompPath(key string) string {
-	return filepath.Join(s.dir, "decomp", key+".json")
-}
-
 func (s *Store) resultPath(row string) string {
 	return filepath.Join(s.dir, "result", row+".json")
-}
-
-// Load implements lik.DecompStore: it returns the persisted
-// decomposition for the rate's exact identity, or nil on any miss —
-// absent file, failed decode or checksum, or stored parameters that do
-// not match the rate bit-for-bit.
-func (s *Store) Load(r *codon.Rate) *expm.Decomposition {
-	key := RateDigest(r)
-	data, err := os.ReadFile(s.decompPath(key))
-	if err != nil {
-		s.count(func(c *Counters) { c.DecompMisses++ })
-		return nil
-	}
-	p, err := decodeDecompFile(data)
-	if err != nil || p.key != key || p.code != r.Code.Name() ||
-		p.kappa != r.Kappa || p.omega != r.Omega || !sameVec(p.pi, r.Pi) {
-		s.count(func(c *Counters) { c.DecompMisses++ })
-		return nil
-	}
-	d, err := expm.Restore(p.pi, p.lambda, p.x)
-	if err != nil {
-		s.count(func(c *Counters) { c.DecompMisses++ })
-		return nil
-	}
-	s.count(func(c *Counters) { c.DecompHits++ })
-	return d
-}
-
-// Store implements lik.DecompStore's write-through: it persists the
-// decomposition under the rate's digest, best effort (a write failure
-// costs warmth, never correctness). An existing entry is left alone —
-// it necessarily holds the identical bits.
-func (s *Store) Store(r *codon.Rate, d *expm.Decomposition) {
-	key := RateDigest(r)
-	path := s.decompPath(key)
-	if _, err := os.Stat(path); err == nil {
-		return
-	}
-	data, err := encodeDecompFile(&decompPayload{
-		key: key, code: r.Code.Name(), kappa: r.Kappa, omega: r.Omega,
-		pi: d.Pi(), lambda: d.Eigenvalues(), x: d.Vectors(),
-	})
-	if err != nil {
-		return
-	}
-	if writeAtomic(path, data) == nil {
-		s.count(func(c *Counters) { c.DecompWrites++ })
-	}
 }
 
 // LookupResult returns the stored deterministic JSONL record for the
@@ -286,16 +177,4 @@ func (s *Store) count(f func(*Counters)) {
 	s.mu.Lock()
 	f(&s.c)
 	s.mu.Unlock()
-}
-
-func sameVec(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

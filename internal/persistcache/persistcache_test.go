@@ -8,29 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"repro/internal/codon"
-	"repro/internal/expm"
-	"repro/internal/mat"
 )
-
-func testRate(t *testing.T, kappa, omega float64) *codon.Rate {
-	t.Helper()
-	r, err := codon.NewRate(codon.Universal, kappa, omega, codon.UniformFrequencies(codon.Universal))
-	if err != nil {
-		t.Fatalf("NewRate: %v", err)
-	}
-	return r
-}
-
-func decompose(t *testing.T, r *codon.Rate) *expm.Decomposition {
-	t.Helper()
-	d, err := expm.Decompose(r.S, r.Pi)
-	if err != nil {
-		t.Fatalf("Decompose: %v", err)
-	}
-	return d
-}
 
 func sameBits(a, b []float64) bool {
 	if len(a) != len(b) {
@@ -42,133 +20,6 @@ func sameBits(a, b []float64) bool {
 		}
 	}
 	return true
-}
-
-// TestDecompRoundTrip checks the headline decomposition contract: a
-// persisted decomposition reloads bit-identically — eigenvalues,
-// eigenvectors, π, and the transition matrices assembled from them.
-func TestDecompRoundTrip(t *testing.T) {
-	store, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := testRate(t, 2, 0.5)
-	d := decompose(t, r)
-	store.Store(r, d)
-	if c := store.Counters(); c.DecompWrites != 1 {
-		t.Fatalf("DecompWrites = %d, want 1", c.DecompWrites)
-	}
-	// A second Store of the same rate must not rewrite the entry.
-	store.Store(r, d)
-	if c := store.Counters(); c.DecompWrites != 1 {
-		t.Fatalf("DecompWrites after duplicate Store = %d, want 1", c.DecompWrites)
-	}
-
-	got := store.Load(r)
-	if got == nil {
-		t.Fatal("Load returned nil for a stored rate")
-	}
-	if c := store.Counters(); c.DecompHits != 1 || c.DecompMisses != 0 {
-		t.Fatalf("counters after hit: %+v", c)
-	}
-	if !sameBits(got.Pi(), d.Pi()) {
-		t.Error("restored π differs in bits")
-	}
-	if !sameBits(got.Eigenvalues(), d.Eigenvalues()) {
-		t.Error("restored eigenvalues differ in bits")
-	}
-	n := d.N()
-	for i := 0; i < n; i++ {
-		if !sameBits(got.Vectors().Row(i), d.Vectors().Row(i)) {
-			t.Fatalf("restored eigenvector row %d differs in bits", i)
-		}
-	}
-	// The product that matters: P(t) assembled from the restored
-	// decomposition must be bit-identical for both assembly methods.
-	for _, m := range []expm.Method{expm.MethodSYRK, expm.MethodGEMM} {
-		want, have := mat.New(n, n), mat.New(n, n)
-		d.PMatrix(0.3, m, want, d.NewWorkspace())
-		got.PMatrix(0.3, m, have, got.NewWorkspace())
-		for i := 0; i < n; i++ {
-			if !sameBits(have.Row(i), want.Row(i)) {
-				t.Fatalf("P(0.3) via %v differs in bits at row %d", m, i)
-			}
-		}
-	}
-}
-
-// TestDecompMisses checks that an absent entry and a digest-aliased
-// entry (another rate's file copied under this rate's key) are both
-// clean misses.
-func TestDecompMisses(t *testing.T) {
-	store, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1 := testRate(t, 2, 0.5)
-	r2 := testRate(t, 3, 0.2)
-	if store.Load(r2) != nil {
-		t.Fatal("Load of an absent entry returned a decomposition")
-	}
-	store.Store(r1, decompose(t, r1))
-	// Simulate a digest collision: r1's file under r2's key. The stored
-	// identity fields must reject it.
-	data, err := os.ReadFile(store.decompPath(RateDigest(r1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(store.decompPath(RateDigest(r2)), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if store.Load(r2) != nil {
-		t.Fatal("Load accepted another rate's entry")
-	}
-	if c := store.Counters(); c.DecompMisses != 2 {
-		t.Fatalf("DecompMisses = %d, want 2", c.DecompMisses)
-	}
-}
-
-// TestDecompCorruptionIsMiss overwrites a valid entry with every kind
-// of defect a shared directory can accumulate — truncation, bit flips,
-// garbage, version skew — and requires each to read as a miss, never a
-// wrong decomposition or a panic.
-func TestDecompCorruptionIsMiss(t *testing.T) {
-	store, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := testRate(t, 2, 0.5)
-	store.Store(r, decompose(t, r))
-	path := store.decompPath(RateDigest(r))
-	valid, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	corruptions := map[string][]byte{
-		"empty":       {},
-		"not JSON":    []byte("not json at all"),
-		"JSON object": []byte("{}"),
-		"truncated":   valid[:len(valid)/2],
-		"bit flip":    flipByte(valid, len(valid)/2),
-		"version":     bytes.Replace(valid, []byte(`"version":1`), []byte(`"version":99`), 1),
-		"tampered λ":  tamperField(t, valid, `"lambda":"`),
-	}
-	for name, data := range corruptions {
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if store.Load(r) != nil {
-			t.Errorf("%s: corrupted entry was restored", name)
-		}
-	}
-	// Restore the valid bytes: the entry must work again.
-	if err := os.WriteFile(path, valid, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if store.Load(r) == nil {
-		t.Fatal("valid entry no longer loads")
-	}
 }
 
 // flipByte returns data with one bit flipped at offset i.
@@ -285,8 +136,10 @@ func TestResultRowBinding(t *testing.T) {
 	}
 }
 
-// TestResultCorruptionIsMiss mirrors the decomposition corruption test
-// for the result tier.
+// TestResultCorruptionIsMiss overwrites a valid entry with every kind
+// of defect a shared directory can accumulate — truncation, bit flips,
+// garbage, version skew — and requires each to read as a miss, never a
+// wrong record or a panic.
 func TestResultCorruptionIsMiss(t *testing.T) {
 	store, err := Open(t.TempDir())
 	if err != nil {
@@ -369,11 +222,11 @@ func TestEncodeFloatsExactBits(t *testing.T) {
 	}
 }
 
-// TestConcurrentAccess races loads, stores and result traffic from many
+// TestConcurrentAccess races result writes and lookups from many
 // goroutines over two Store handles sharing one directory — the
 // multi-daemon shape. Run under -race in CI; correctness here is "no
-// race, no torn read": every successful load is bit-identical to the
-// single valid value ever written for its key.
+// race, no torn read": every successful lookup is byte-identical to the
+// single valid record ever written for its key.
 func TestConcurrentAccess(t *testing.T) {
 	dir := t.TempDir()
 	s1, err := Open(dir)
@@ -384,8 +237,6 @@ func TestConcurrentAccess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := testRate(t, 2, 0.5)
-	d := decompose(t, r)
 	e := testEntry()
 
 	var wg sync.WaitGroup
@@ -398,11 +249,6 @@ func TestConcurrentAccess(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 20; j++ {
-				s.Store(r, d)
-				if got := s.Load(r); got != nil && !sameBits(got.Eigenvalues(), d.Eigenvalues()) {
-					t.Error("concurrent Load returned torn eigenvalues")
-					return
-				}
 				if err := s.PutResult(e); err != nil {
 					t.Errorf("PutResult: %v", err)
 					return
@@ -416,15 +262,13 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 	wg.Wait()
 	// No temp-file litter: every write either renamed or cleaned up.
-	for _, sub := range []string{"decomp", "result"} {
-		ents, err := os.ReadDir(filepath.Join(dir, sub))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, ent := range ents {
-			if strings.Contains(ent.Name(), ".tmp") {
-				t.Errorf("leftover temp file %s/%s", sub, ent.Name())
-			}
+	ents, err := os.ReadDir(filepath.Join(dir, "result"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range ents {
+		if strings.Contains(ent.Name(), ".tmp") {
+			t.Errorf("leftover temp file result/%s", ent.Name())
 		}
 	}
 }

@@ -133,12 +133,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 	r.GaugeFunc("slimcodemld_decomp_cache_entries",
 		"Eigendecompositions resident in the shared cache.", func() float64 { return float64(s.cache.Len()) })
 	if s.store != nil {
-		r.CounterFunc("slimcodemld_persist_decomp_hits_total",
-			"Persistent warm-cache eigendecomposition hits.", func() float64 { return float64(s.store.Counters().DecompHits) })
-		r.CounterFunc("slimcodemld_persist_decomp_misses_total",
-			"Persistent warm-cache eigendecomposition misses.", func() float64 { return float64(s.store.Counters().DecompMisses) })
-		r.CounterFunc("slimcodemld_persist_decomp_writes_total",
-			"Eigendecompositions written to the persistent warm cache.", func() float64 { return float64(s.store.Counters().DecompWrites) })
 		r.CounterFunc("slimcodemld_persist_result_hits_total",
 			"Persistent result-store replay hits.", func() float64 { return float64(s.store.Counters().ResultHits) })
 		r.CounterFunc("slimcodemld_persist_result_misses_total",

@@ -129,9 +129,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"slimcodemld_decomp_cache_entries":         ch.DecompEntries,
 		"slimcodemld_countcache_hits_total":        ch.CountHits,
 		"slimcodemld_countcache_misses_total":      ch.CountMisses,
-		"slimcodemld_persist_decomp_hits_total":    ch.Persist.DecompHits,
-		"slimcodemld_persist_decomp_misses_total":  ch.Persist.DecompMisses,
-		"slimcodemld_persist_decomp_writes_total":  ch.Persist.DecompWrites,
 		"slimcodemld_persist_result_hits_total":    ch.Persist.ResultHits,
 		"slimcodemld_persist_result_misses_total":  ch.Persist.ResultMisses,
 		"slimcodemld_persist_result_writes_total":  ch.Persist.ResultWrites,

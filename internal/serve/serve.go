@@ -90,9 +90,9 @@ type Config struct {
 	// (default: sniff per file).
 	Format align.Format
 	// CacheDir, when non-empty, roots the cross-run warm cache
-	// (persistcache.Store): eigendecompositions survive daemon restarts
-	// and already-analyzed manifest rows replay byte-identically instead
-	// of refitting. The directory is separate from per-job files by
+	// (persistcache.Store): already-analyzed manifest rows replay
+	// byte-identically instead of refitting, across daemon restarts.
+	// The directory is separate from per-job files by
 	// construction, so purges and retention sweeps never touch it.
 	// Multiple daemons may share one cache directory. Empty disables
 	// persistence.
@@ -468,10 +468,6 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 		s.store = store
-		// In-memory cache misses fall through to the persistent tier, so
-		// a restarted daemon reloads its decompositions instead of
-		// recomputing them.
-		s.cache.WithStore(store)
 	}
 	s.log = cfg.Log
 	if s.log == nil {
