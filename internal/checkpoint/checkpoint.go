@@ -41,10 +41,8 @@
 package checkpoint
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
 	"strconv"
 )
 
@@ -88,11 +86,17 @@ type ledgerLine struct {
 	Gene   *Record  `json:"gene,omitempty"`
 }
 
-// Ledger is an open checkpoint ledger: the parsed state plus the file
-// handle appends go to. One goroutine owns a Ledger at a time.
+func (ln ledgerLine) version() (int, bool) {
+	if ln.Header == nil {
+		return 0, false
+	}
+	return ln.Header.Version, true
+}
+
+// Ledger is an open checkpoint ledger: the parsed state plus the log
+// appends go to. One goroutine owns a Ledger at a time.
 type Ledger struct {
-	path   string
-	f      *os.File
+	appendLog
 	header Header
 	pi     []float64
 	recs   []Record
@@ -107,89 +111,38 @@ func LedgerPath(outPath string) string { return outPath + ".ckpt" }
 // and durably writes the header.
 func Create(path string, h Header) (*Ledger, error) {
 	h.Version = Version
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	log, err := createLog(path, ledgerLine{Header: &h})
 	if err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	l := &Ledger{path: path, f: f, header: h}
-	if err := l.append(ledgerLine{Header: &h}); err != nil {
-		f.Close()
 		return nil, err
 	}
-	return l, nil
+	return &Ledger{appendLog: log, header: h}, nil
 }
 
 // Open loads the ledger at path and reopens it for appending. A torn
-// final line (a crash mid-append) is dropped — its gene is re-fitted —
-// but corruption anywhere earlier is an error: the ledger's validated
-// prefix must be trustworthy.
+// final line (a crash mid-append) is dropped — its gene is re-fitted;
+// a duplicate header, another version or a bad π record is an error.
 func Open(path string) (*Ledger, error) {
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	l := &Ledger{path: path, f: f}
-	if err := l.load(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return l, nil
-}
-
-// load parses the ledger file and truncates any torn tail.
-func (l *Ledger) load() error {
-	data, err := os.ReadFile(l.path)
-	if err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	sawHeader := false
-	good := int64(0) // bytes covered by fully parsed lines
-	for start := 0; start < len(data); {
-		end := start
-		for end < len(data) && data[end] != '\n' {
-			end++
-		}
-		if end == len(data) {
-			break // torn tail: no trailing newline
-		}
-		var ln ledgerLine
-		if err := json.Unmarshal(data[start:end], &ln); err != nil {
-			break // torn tail: drop this and anything after
-		}
+	l := &Ledger{}
+	log, _, err := openLog(path, Version, func(ln ledgerLine) error {
 		switch {
 		case ln.Header != nil:
-			if sawHeader {
-				return fmt.Errorf("checkpoint: %s: duplicate header", l.path)
-			}
-			if ln.Header.Version != Version {
-				return fmt.Errorf("checkpoint: %s: ledger version %d, this build reads %d", l.path, ln.Header.Version, Version)
-			}
 			l.header = *ln.Header
-			sawHeader = true
 		case ln.Pi != nil:
 			pi, err := decodeBits(ln.Pi)
 			if err != nil {
-				return fmt.Errorf("checkpoint: %s: %w", l.path, err)
+				return fmt.Errorf("checkpoint: %s: %w", path, err)
 			}
 			l.pi = pi
 		case ln.Gene != nil:
 			l.recs = append(l.recs, *ln.Gene)
 		}
-		start = end + 1
-		good = int64(start)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	if !sawHeader {
-		return fmt.Errorf("checkpoint: %s: no ledger header", l.path)
-	}
-	// Drop the torn tail so appends continue from a clean line
-	// boundary.
-	if err := l.f.Truncate(good); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if _, err := l.f.Seek(good, 0); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	return nil
+	l.appendLog = log
+	return l, nil
 }
 
 // Header returns the ledger's header.
@@ -221,32 +174,6 @@ func (l *Ledger) AppendFrequencies(pi []float64) error {
 	l.pi = append([]float64(nil), pi...)
 	return nil
 }
-
-// append writes one line and syncs it.
-func (l *Ledger) append(ln ledgerLine) error {
-	return appendJSONLine(l.f, l.path, ln)
-}
-
-// appendJSONLine durably appends one JSON line: marshal, write, fsync.
-// Shared by the gene ledger and the fan-out shard ledger so both obey
-// the same append discipline.
-func appendJSONLine(f *os.File, path string, v any) error {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	b = append(b, '\n')
-	if _, err := f.Write(b); err != nil {
-		return fmt.Errorf("checkpoint: %s: %w", path, err)
-	}
-	if err := f.Sync(); err != nil {
-		return fmt.Errorf("checkpoint: %s: %w", path, err)
-	}
-	return nil
-}
-
-// Close closes the ledger file.
-func (l *Ledger) Close() error { return l.f.Close() }
 
 // encodeBits renders a frequency vector as hex IEEE-754 bit patterns —
 // the lossless on-disk form both the gene ledger and the fan-out shard

@@ -4,27 +4,29 @@
 // the difference between O(live jobs) and O(all historical jobs) when
 // a daemon holds millions of finished analyses.
 //
-// The index obeys the same discipline as the gene ledger it lives
-// beside: records are appended with marshal → write → fsync, a job's
-// record is only written after the state it describes is durable
-// (results fsync'ed before a "done" record — fsync-before-describe),
-// and a torn final line left by a crash is dropped on open. Unlike the
-// gene ledger the index is *derived* state: every record can be
-// rebuilt from the job spec files and per-job ledgers, so corruption
-// beyond the torn tail, a deleted index, or a pre-index data directory
-// all degrade to the directory-scan recovery path, never to data loss.
+// The index is written through the same append-only log as the gene
+// ledger it lives beside (appendLog): records are appended with
+// marshal → write → fsync, a job's record is only written after the
+// state it describes is durable (results fsync'ed before a "done"
+// record — fsync-before-describe), and a torn final line left by a
+// crash is dropped on open. Unlike the gene ledger the index is
+// *derived* state: every record can be rebuilt from the job spec files
+// and per-job ledgers, so corruption beyond the torn tail, a deleted
+// index, or a pre-index data directory all degrade to the
+// directory-scan recovery path, never to data loss.
 //
 // Records are latest-wins per job ID; a purge line tombstones an ID.
-// Open compacts the file (one line per live job, superseded and purged
-// lines dropped) via write-temp-then-rename whenever it holds dead
-// lines, so the file's size tracks the live job count, not the append
-// count. The header carries the largest job sequence number ever
-// issued — including purged jobs — so IDs are never reissued even
-// after every record referencing them is compacted away.
+// Open compacts the file (one line per live job) via
+// write-temp-then-rename whenever it holds dead lines — a torn tail was
+// dropped, or a line was superseded or purged — so the file's size
+// tracks the live job count, not the append count. The header carries
+// the largest job sequence number ever issued — including purged jobs
+// — so IDs are never reissued even after every record referencing them
+// is compacted away.
 package checkpoint
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"sync"
@@ -73,12 +75,17 @@ type jobIndexLine struct {
 	Purge  string          `json:"purge,omitempty"`
 }
 
+func (ln jobIndexLine) version() (int, bool) {
+	if ln.Header == nil {
+		return 0, false
+	}
+	return ln.Header.Version, true
+}
+
 // JobIndex is an open job index. Methods are safe for concurrent use.
 type JobIndex struct {
-	path string
-
-	mu     sync.Mutex
-	f      *os.File
+	mu sync.Mutex
+	appendLog
 	recs   map[string]*JobIndexRecord
 	order  []string // live IDs in first-record order
 	maxSeq int      // largest sequence number ever seen, incl. purged
@@ -87,133 +94,58 @@ type JobIndex struct {
 
 // OpenJobIndex opens (or creates) the index at path. Loading drops a
 // torn final line; if the surviving file holds superseded or purged
-// lines it is compacted in place via write-temp-then-rename before
-// being reopened for appends. seq extracts a job ID's sequence number
-// (ok=false for foreign IDs); it feeds MaxSeq so IDs are never
-// reissued.
+// lines it is compacted in place via write-temp-then-rename. seq
+// extracts a job ID's sequence number (ok=false for foreign IDs); it
+// feeds MaxSeq so IDs are never reissued.
 func OpenJobIndex(path string, seq func(id string) (int, bool)) (*JobIndex, error) {
 	if seq == nil {
 		seq = func(string) (int, bool) { return 0, false }
 	}
-	idx := &JobIndex{
-		path: path,
-		recs: make(map[string]*JobIndexRecord),
-		seq:  seq,
-	}
-	data, err := os.ReadFile(path)
+	x := &JobIndex{recs: make(map[string]*JobIndexRecord), seq: seq}
+	dead := false
+	log, torn, err := openLog(path, JobIndexVersion, func(ln jobIndexLine) error {
+		if x.apply(ln) {
+			dead = true
+		}
+		return nil
+	})
 	switch {
-	case os.IsNotExist(err):
-		return idx, idx.create()
-	case err != nil:
-		return nil, fmt.Errorf("jobindex: %w", err)
+	case errors.Is(err, os.ErrNotExist):
+		log, err = createLog(path, jobIndexLine{Header: &JobIndexHeader{Version: JobIndexVersion}})
+	case err == nil && (torn || dead):
+		log.Close()
+		log, err = x.compact(path)
 	}
-
-	lines, dead, err := idx.load(data)
 	if err != nil {
 		return nil, err
 	}
-	if dead {
-		if err := idx.compactLocked(); err != nil {
-			return nil, err
-		}
-	} else {
-		f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
-		if err != nil {
-			return nil, fmt.Errorf("jobindex: %w", err)
-		}
-		if err := f.Truncate(lines); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("jobindex: %w", err)
-		}
-		if _, err := f.Seek(lines, 0); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("jobindex: %w", err)
-		}
-		idx.f = f
-	}
-	return idx, nil
+	x.appendLog = log
+	return x, nil
 }
 
-// create writes a fresh index file with just a header.
-func (x *JobIndex) create() error {
-	f, err := os.OpenFile(x.path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("jobindex: %w", err)
-	}
-	x.f = f
-	h := JobIndexHeader{Version: JobIndexVersion, MaxSeq: x.maxSeq}
-	return appendJSONLine(f, x.path, jobIndexLine{Header: &h})
-}
-
-// load parses data, populating recs/order/maxSeq. It returns the byte
-// count of fully parsed lines (the torn tail is everything after) and
-// whether the file holds dead lines (superseded records, purge pairs,
-// or a stale header) that compaction should drop. A missing or
-// mismatched header is an error — callers fall back to a directory
-// scan and rebuild.
-func (x *JobIndex) load(data []byte) (good int64, dead bool, err error) {
-	sawHeader := false
-	lines := 0
-	for start := 0; start < len(data); {
-		end := start
-		for end < len(data) && data[end] != '\n' {
-			end++
+// apply folds one line into the in-memory view and reports whether it
+// made a line dead: a superseded record, or a purge (which is dead
+// itself, along with its target).
+func (x *JobIndex) apply(ln jobIndexLine) (dead bool) {
+	switch {
+	case ln.Header != nil:
+		x.maxSeq = max(x.maxSeq, ln.Header.MaxSeq)
+	case ln.Job != nil:
+		rec := *ln.Job
+		if _, dead = x.recs[rec.ID]; !dead {
+			x.order = append(x.order, rec.ID)
 		}
-		if end == len(data) {
-			break // torn tail: no trailing newline
+		x.recs[rec.ID] = &rec
+		x.noteSeq(rec.ID)
+	case ln.Purge != "":
+		if _, ok := x.recs[ln.Purge]; ok {
+			delete(x.recs, ln.Purge)
+			x.dropOrder(ln.Purge)
 		}
-		var ln jobIndexLine
-		if err := json.Unmarshal(data[start:end], &ln); err != nil {
-			dead = true
-			break // torn tail: drop this line and anything after
-		}
-		switch {
-		case ln.Header != nil:
-			if sawHeader {
-				return 0, false, fmt.Errorf("jobindex: %s: duplicate header", x.path)
-			}
-			if ln.Header.Version != JobIndexVersion {
-				return 0, false, fmt.Errorf("jobindex: %s: index version %d, this build reads %d",
-					x.path, ln.Header.Version, JobIndexVersion)
-			}
-			if ln.Header.MaxSeq > x.maxSeq {
-				x.maxSeq = ln.Header.MaxSeq
-			}
-			sawHeader = true
-		case ln.Job != nil:
-			if !sawHeader {
-				return 0, false, fmt.Errorf("jobindex: %s: record before header", x.path)
-			}
-			rec := *ln.Job
-			if _, exists := x.recs[rec.ID]; exists {
-				dead = true // superseded line
-			} else {
-				x.order = append(x.order, rec.ID)
-			}
-			x.recs[rec.ID] = &rec
-			x.noteSeq(rec.ID)
-		case ln.Purge != "":
-			if !sawHeader {
-				return 0, false, fmt.Errorf("jobindex: %s: record before header", x.path)
-			}
-			if _, exists := x.recs[ln.Purge]; exists {
-				delete(x.recs, ln.Purge)
-				x.dropOrder(ln.Purge)
-			}
-			dead = true // the purge line and its targets are gone
-			x.noteSeq(ln.Purge)
-		}
-		start = end + 1
-		good = int64(start)
-		lines++
-	}
-	if !sawHeader {
-		return 0, false, fmt.Errorf("jobindex: %s: no index header", x.path)
-	}
-	if int64(len(data)) > good {
+		x.noteSeq(ln.Purge)
 		dead = true
 	}
-	return good, dead, nil
+	return dead
 }
 
 // noteSeq folds an ID's sequence number into maxSeq.
@@ -233,59 +165,38 @@ func (x *JobIndex) dropOrder(id string) {
 	}
 }
 
-// compactLocked rewrites the index as header + one line per live job,
-// atomically (write temp, fsync, rename), then reopens it for appends.
-// Callers hold no lock during Open; afterwards x.mu guards everything.
-func (x *JobIndex) compactLocked() error {
-	if x.f != nil {
-		x.f.Close()
-		x.f = nil
-	}
-	tmp := x.path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+// compact rewrites the index at path as header + one line per live
+// job, atomically (write temp, fsync, rename), and returns the new
+// file open for appends.
+func (x *JobIndex) compact(path string) (appendLog, error) {
+	tmp, err := createLog(path+".tmp", jobIndexLine{Header: &JobIndexHeader{Version: JobIndexVersion, MaxSeq: x.maxSeq}})
 	if err != nil {
-		return fmt.Errorf("jobindex: %w", err)
+		return appendLog{}, err
 	}
-	h := JobIndexHeader{Version: JobIndexVersion, MaxSeq: x.maxSeq}
-	werr := appendJSONLine(f, tmp, jobIndexLine{Header: &h})
-	for _, id := range x.order {
-		if werr != nil {
-			break
-		}
-		werr = appendJSONLine(f, tmp, jobIndexLine{Job: x.recs[id]})
+	lines := make([]any, len(x.order))
+	for i, id := range x.order {
+		lines[i] = jobIndexLine{Job: x.recs[id]}
 	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
+	if err = tmp.append(lines...); err == nil {
+		err = os.Rename(tmp.path, path)
 	}
-	if werr != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("jobindex: compact: %w", werr)
-	}
-	if err := os.Rename(tmp, x.path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("jobindex: compact: %w", err)
-	}
-	af, err := os.OpenFile(x.path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return fmt.Errorf("jobindex: %w", err)
+		tmp.Close()
+		os.Remove(tmp.path)
+		return appendLog{}, fmt.Errorf("checkpoint: compact %s: %w", path, err)
 	}
-	x.f = af
-	return nil
+	return appendLog{path: path, f: tmp.f}, nil
 }
 
-// Put durably upserts one job record (latest wins).
+// Put durably upserts one job record (latest wins). A record equal to
+// the job's live one changes nothing and appends nothing.
 func (x *JobIndex) Put(rec JobIndexRecord) error {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	if err := appendJSONLine(x.f, x.path, jobIndexLine{Job: &rec}); err != nil {
-		return err
+	if cur, ok := x.recs[rec.ID]; ok && *cur == rec {
+		return nil
 	}
-	if _, exists := x.recs[rec.ID]; !exists {
-		x.order = append(x.order, rec.ID)
-	}
-	x.recs[rec.ID] = &rec
-	x.noteSeq(rec.ID)
-	return nil
+	return x.writeLocked(jobIndexLine{Job: &rec})
 }
 
 // Purge durably tombstones a job ID. The ID's sequence number stays
@@ -293,14 +204,15 @@ func (x *JobIndex) Put(rec JobIndexRecord) error {
 func (x *JobIndex) Purge(id string) error {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	if err := appendJSONLine(x.f, x.path, jobIndexLine{Purge: id}); err != nil {
+	return x.writeLocked(jobIndexLine{Purge: id})
+}
+
+// writeLocked appends one line and folds it into the in-memory view.
+func (x *JobIndex) writeLocked(ln jobIndexLine) error {
+	if err := x.append(ln); err != nil {
 		return err
 	}
-	if _, exists := x.recs[id]; exists {
-		delete(x.recs, id)
-		x.dropOrder(id)
-	}
-	x.noteSeq(id)
+	x.apply(ln)
 	return nil
 }
 

@@ -1,9 +1,7 @@
 package checkpoint
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"repro/internal/manifest"
 )
@@ -13,7 +11,8 @@ import (
 // of one stream, the shard ledger records per-shard progress of a
 // multi-daemon run — which daemon each shard's job was submitted to,
 // and which shards' results have been durably appended to the merged
-// output. It obeys the same invariants as the gene ledger: every line
+// output. It is written through the same append-only log as the gene
+// ledger (appendLog) and obeys the same invariants: every line
 // is fsynced, output data is made durable before the line that
 // describes it, Open drops a torn final line, and resuming under a
 // changed manifest, shard count or options is refused via the header.
@@ -71,11 +70,17 @@ type shardLine struct {
 	Done   *ShardDone   `json:"done,omitempty"`
 }
 
+func (ln shardLine) version() (int, bool) {
+	if ln.Header == nil {
+		return 0, false
+	}
+	return ln.Header.Version, true
+}
+
 // ShardLedger is an open fan-out ledger. One goroutine owns it at a
 // time (the coordinator is single-threaded over its ledger).
 type ShardLedger struct {
-	path    string
-	f       *os.File
+	appendLog
 	header  ShardHeader
 	pi      []float64
 	submits []ShardSubmit
@@ -90,67 +95,25 @@ func ShardLedgerPath(outPath string) string { return outPath + ".fanout" }
 // any previous one) and durably writes the header.
 func CreateShardLedger(path string, h ShardHeader) (*ShardLedger, error) {
 	h.Version = Version
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	log, err := createLog(path, shardLine{Header: &h})
 	if err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	l := &ShardLedger{path: path, f: f, header: h}
-	if err := appendJSONLine(f, path, shardLine{Header: &h}); err != nil {
-		f.Close()
 		return nil, err
 	}
-	return l, nil
+	return &ShardLedger{appendLog: log, header: h}, nil
 }
 
 // OpenShardLedger loads the shard ledger at path and reopens it for
 // appending, dropping a torn final line the way Open does.
 func OpenShardLedger(path string) (*ShardLedger, error) {
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	l := &ShardLedger{path: path, f: f}
-	if err := l.load(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return l, nil
-}
-
-// load parses the ledger file and truncates any torn tail.
-func (l *ShardLedger) load() error {
-	data, err := os.ReadFile(l.path)
-	if err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	sawHeader := false
-	good := int64(0)
-	for start := 0; start < len(data); {
-		end := start
-		for end < len(data) && data[end] != '\n' {
-			end++
-		}
-		if end == len(data) {
-			break // torn tail: no trailing newline
-		}
-		var ln shardLine
-		if err := json.Unmarshal(data[start:end], &ln); err != nil {
-			break // torn tail: drop this and anything after
-		}
+	l := &ShardLedger{}
+	log, _, err := openLog(path, Version, func(ln shardLine) error {
 		switch {
 		case ln.Header != nil:
-			if sawHeader {
-				return fmt.Errorf("checkpoint: %s: duplicate header", l.path)
-			}
-			if ln.Header.Version != Version {
-				return fmt.Errorf("checkpoint: %s: ledger version %d, this build reads %d", l.path, ln.Header.Version, Version)
-			}
 			l.header = *ln.Header
-			sawHeader = true
 		case ln.Pi != nil:
 			pi, err := decodeBits(ln.Pi)
 			if err != nil {
-				return fmt.Errorf("checkpoint: %s: %w", l.path, err)
+				return fmt.Errorf("checkpoint: %s: %w", path, err)
 			}
 			l.pi = pi
 		case ln.Submit != nil:
@@ -158,19 +121,13 @@ func (l *ShardLedger) load() error {
 		case ln.Done != nil:
 			l.dones = append(l.dones, *ln.Done)
 		}
-		start = end + 1
-		good = int64(start)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	if !sawHeader {
-		return fmt.Errorf("checkpoint: %s: no ledger header", l.path)
-	}
-	if err := l.f.Truncate(good); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if _, err := l.f.Seek(good, 0); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	return nil
+	l.appendLog = log
+	return l, nil
 }
 
 // Header returns the ledger's header.
@@ -184,7 +141,7 @@ func (l *ShardLedger) Frequencies() []float64 { return l.pi }
 // vector as IEEE-754 bit patterns, so a resumed fan-out replays the
 // identical π instead of re-pooling the manifest.
 func (l *ShardLedger) AppendFrequencies(pi []float64) error {
-	if err := appendJSONLine(l.f, l.path, shardLine{Pi: encodeBits(pi)}); err != nil {
+	if err := l.append(shardLine{Pi: encodeBits(pi)}); err != nil {
 		return err
 	}
 	l.pi = append([]float64(nil), pi...)
@@ -193,7 +150,7 @@ func (l *ShardLedger) AppendFrequencies(pi []float64) error {
 
 // AppendSubmit durably records one shard's job submission.
 func (l *ShardLedger) AppendSubmit(sub ShardSubmit) error {
-	if err := appendJSONLine(l.f, l.path, shardLine{Submit: &sub}); err != nil {
+	if err := l.append(shardLine{Submit: &sub}); err != nil {
 		return err
 	}
 	l.submits = append(l.submits, sub)
@@ -204,15 +161,12 @@ func (l *ShardLedger) AppendSubmit(sub ShardSubmit) error {
 // merged output. The caller must have flushed and fsynced the output
 // through d.Offset first — the ledger never points past durable data.
 func (l *ShardLedger) AppendDone(d ShardDone) error {
-	if err := appendJSONLine(l.f, l.path, shardLine{Done: &d}); err != nil {
+	if err := l.append(shardLine{Done: &d}); err != nil {
 		return err
 	}
 	l.dones = append(l.dones, d)
 	return nil
 }
-
-// Close closes the ledger file.
-func (l *ShardLedger) Close() error { return l.f.Close() }
 
 // ShardPlan is a validated fan-out resume point: shards 0..Done-1 are
 // already appended to the merged output (truncate it to Offset and

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"repro/internal/align"
@@ -135,11 +134,8 @@ func (s *ManifestSource) Next() (*Gene, error) {
 // of the same files share one cache entry. (The checkpoint ledger keeps
 // e.Digest(), so existing ledgers still resume.)
 func persistRow(e manifest.Entry) string {
-	if p, err := filepath.Abs(e.AlignPath); err == nil {
-		e.AlignPath = p
-	}
-	if p, err := filepath.Abs(e.TreePath); err == nil {
-		e.TreePath = p
+	if a, err := e.Abs(); err == nil {
+		e = a
 	}
 	return e.Digest()
 }

@@ -96,7 +96,6 @@ import (
 	"io/fs"
 	"log/slog"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"time"
@@ -487,9 +486,12 @@ func newCoord(ctx context.Context, cfg Config) (*coord, error) {
 	// Daemons resolve inline manifest rows on their own filesystem, so
 	// every path must be absolute — a relative path would resolve
 	// against the daemon's working directory, not ours.
-	entries, err := absEntries(cfg.Entries)
-	if err != nil {
-		return nil, err
+	entries := make([]manifest.Entry, len(cfg.Entries))
+	var err error
+	for i, e := range cfg.Entries {
+		if entries[i], err = e.Abs(); err != nil {
+			return nil, err
+		}
 	}
 	cfg.Entries = entries
 
@@ -634,23 +636,6 @@ func (c *coord) shardSpec(st *shardState) serve.JobSpec {
 		spec.Frequencies = c.pi
 	}
 	return spec
-}
-
-// absEntries resolves every manifest path to an absolute one.
-func absEntries(entries []manifest.Entry) ([]manifest.Entry, error) {
-	out := make([]manifest.Entry, len(entries))
-	for i, e := range entries {
-		a, err := filepath.Abs(e.AlignPath)
-		if err != nil {
-			return nil, fmt.Errorf("fanout: %s: %w", e.AlignPath, err)
-		}
-		t, err := filepath.Abs(e.TreePath)
-		if err != nil {
-			return nil, fmt.Errorf("fanout: %s: %w", e.TreePath, err)
-		}
-		out[i] = manifest.Entry{Name: e.Name, AlignPath: a, TreePath: t}
-	}
-	return out, nil
 }
 
 // endpointIndex maps a recorded endpoint URL back to its config slot.

@@ -41,6 +41,20 @@ type Entry struct {
 	TreePath  string
 }
 
+// Abs returns the entry with both paths made absolute against the
+// working directory: the spelling that names the same files from any
+// directory, which the result cache keys on and daemons resolve.
+func (e Entry) Abs() (Entry, error) {
+	for _, p := range []*string{&e.AlignPath, &e.TreePath} {
+		a, err := filepath.Abs(*p)
+		if err != nil {
+			return Entry{}, fmt.Errorf("manifest: %s: %w", *p, err)
+		}
+		*p = a
+	}
+	return e, nil
+}
+
 // Parse reads manifest rows from r, resolving relative paths against
 // baseDir when it is non-empty. It validates syntax and name
 // uniqueness but not file existence (see Verify / Load).

@@ -40,6 +40,19 @@ func TestParseAbsolutePathsKept(t *testing.T) {
 	}
 }
 
+func TestEntryAbs(t *testing.T) {
+	dir := t.TempDir()
+	t.Chdir(dir)
+	got, err := Entry{Name: "g1", AlignPath: "aln/g1.fasta", TreePath: "/abs/t.nwk"}.Abs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Entry{Name: "g1", AlignPath: filepath.Join(dir, "aln/g1.fasta"), TreePath: "/abs/t.nwk"}
+	if got != want {
+		t.Fatalf("Abs = %+v, want %+v", got, want)
+	}
+}
+
 func TestParseErrors(t *testing.T) {
 	cases := map[string]string{
 		"missing tree field": "g1 aln.fasta\n",

@@ -383,7 +383,12 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		// purge=0/false is an explicit plain cancel: fall through.
 	}
 	if err := s.Cancel(id); err != nil {
-		writeError(w, http.StatusConflict, err)
+		status := http.StatusConflict
+		if errors.Is(err, ErrUnknownJob) {
+			// Purged between jobFor and Cancel: gone is gone.
+			status = http.StatusNotFound
+		}
+		writeError(w, status, err)
 		return
 	}
 	// Re-look the job up: a concurrent ?purge=1 may have removed it

@@ -161,10 +161,7 @@ func TestTenantMetricsHealthzAgreement(t *testing.T) {
 		PoolWorkers: 1,
 		MaxActive:   1,
 		QueueDepth:  4,
-		Tenants: []serve.Tenant{
-			{Name: "alice", Token: "tok-alice-8f3a2b91", MaxQueued: 1},
-			{Name: "bob", Token: "tok-bob-55e01c77"},
-		},
+		TenantsPath: tenantsFile(t, "alice tok-alice-8f3a2b91 max_queued=1\nbob tok-bob-55e01c77\n"),
 	})
 	if err != nil {
 		t.Fatal(err)

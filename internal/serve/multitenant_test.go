@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"sort"
 	"testing"
 	"time"
@@ -33,6 +34,17 @@ func writeFileAtomic(path, content string) error {
 	return os.Rename(tmp, path)
 }
 
+// tenantsFile writes a tenants file holding content to a test
+// directory and returns its path.
+func tenantsFile(t *testing.T, content string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "tenants.conf")
+	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 const (
 	tokAlice = "tok-alice-8f3a2b91"
 	tokBob   = "tok-bob-55e01c77"
@@ -47,10 +59,7 @@ func newTenantServer(t *testing.T) (*serve.Server, *httptest.Server) {
 		PoolWorkers: 1,
 		MaxActive:   1,
 		QueueDepth:  8,
-		Tenants: []serve.Tenant{
-			{Name: "alice", Token: tokAlice, MaxQueued: 2},
-			{Name: "bob", Token: tokBob},
-		},
+		TenantsPath: tenantsFile(t, "alice "+tokAlice+" max_queued=2\nbob "+tokBob+"\n"),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -228,13 +228,6 @@ func (q *scheduler) capacityCap() int {
 	return q.capacity
 }
 
-// statsFor snapshots one tenant's (active, queued) occupancy.
-func (q *scheduler) statsFor(tenant string) (active, queued int) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.active[tenant], len(q.queues[tenant])
-}
-
 func (q *scheduler) notifyChange(tenant string) {
 	if q.onChange != nil {
 		q.onChange(tenant, q.active[tenant], len(q.queues[tenant]))

@@ -30,13 +30,15 @@
 //     means the daemon shut down first — the job resumes on the next
 //     start. Both stop promptly: no new gene starts, in-flight genes
 //     drain.
-//   - Job index: every lifecycle transition is appended to a jobs.index
-//     ledger in the data directory (checkpoint.JobIndex), so restart
+//   - Job index: every lifecycle transition goes through one method
+//     (transitionLocked), which appends the job's record to a
+//     jobs.index ledger in the data directory (checkpoint.JobIndex)
+//     and counts the event in slimcodemld_jobs_total, so restart
 //     recovery reads one file instead of revalidating every historical
 //     job's ledger. The index is derived state — corruption, deletion
 //     or a pre-index data directory all fall back to the directory
 //     scan, which also reconciles jobs the index missed (a torn tail).
-//   - Multi-tenancy is opt-in (Config.TenantsPath / Config.Tenants):
+//   - Multi-tenancy is opt-in (Config.TenantsPath):
 //     bearer-token auth on the /jobs routes, per-tenant admission
 //     quotas, and deterministic round-robin fair-share scheduling
 //     (sched.go). Without it the daemon authenticates nothing, queues
@@ -117,12 +119,9 @@ type Config struct {
 	// scheduler round-robins across tenants. The file is hot-reloaded
 	// when its mtime changes (and via ReloadTenants / SIGHUP in
 	// slimcodemld); a reload that fails to parse keeps the previous
-	// set. Empty (and Tenants nil) leaves the daemon exactly as
-	// before: no auth, one FIFO queue, unchanged wire shapes.
+	// set. Empty leaves the daemon exactly as before: no auth, one
+	// FIFO queue, unchanged wire shapes.
 	TenantsPath string
-	// Tenants injects a static tenant set directly — the embedding/test
-	// path. Mutually exclusive with TenantsPath (no file, no reloads).
-	Tenants []Tenant
 }
 
 func (c *Config) fill() {
@@ -434,9 +433,6 @@ func New(cfg Config) (*Server, error) {
 	if err := os.MkdirAll(cfg.DataDir, 0o755); err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	if cfg.TenantsPath != "" && len(cfg.Tenants) > 0 {
-		return nil, fmt.Errorf("serve: Config.TenantsPath and Config.Tenants are mutually exclusive")
-	}
 	s := &Server{
 		cfg:   cfg,
 		pool:  lik.NewPool(cfg.PoolWorkers),
@@ -444,8 +440,7 @@ func New(cfg Config) (*Server, error) {
 		jobs:  make(map[string]*Job),
 		quit:  make(chan struct{}),
 	}
-	switch {
-	case cfg.TenantsPath != "":
+	if cfg.TenantsPath != "" {
 		ts, err := LoadTenants(cfg.TenantsPath)
 		if err != nil {
 			s.pool.Close()
@@ -453,13 +448,6 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.tenancy = true
 		s.tenants.Store(newTenantSet(ts))
-	case len(cfg.Tenants) > 0:
-		if err := checkTenants(cfg.Tenants); err != nil {
-			s.pool.Close()
-			return nil, err
-		}
-		s.tenancy = true
-		s.tenants.Store(newTenantSet(cfg.Tenants))
 	}
 	if cfg.CacheDir != "" {
 		store, err := persistcache.Open(cfg.CacheDir)
@@ -893,6 +881,37 @@ func (s *Server) indexPutLocked(job *Job) {
 	}
 }
 
+// transitionLocked is the one path a job's state changes through. It
+// sets the state and fires the change signal (setLocked) and stamps at
+// as the job's start time when it starts running, its finish time
+// otherwise (a zero at keeps the stamp the job has). For every state
+// but running — which recovery treats like queued — it then appends
+// the job's index record and counts event in slimcodemld_jobs_total.
+// A non-empty msg is logged with the job id and attrs, as a warning
+// for a failed job. Callers hold job.mu (or own the job exclusively
+// during recovery).
+func (s *Server) transitionLocked(job *Job, state string, at time.Time, event, msg string, attrs ...any) {
+	job.setLocked(state, job.done, job.failed)
+	if state == StateRunning {
+		job.started = at
+	} else {
+		if !at.IsZero() {
+			job.finished = at
+		}
+		s.indexPutLocked(job)
+		s.met.jobEvents.With(event).Inc()
+	}
+	if msg == "" {
+		return
+	}
+	attrs = append([]any{"job", job.id}, attrs...)
+	if state == StateFailed {
+		s.log.Warn(msg, attrs...)
+	} else {
+		s.log.Info(msg, attrs...)
+	}
+}
+
 // Cancel stops the job: a queued job is marked cancelled immediately, a
 // running job has its context cancelled (no new gene starts; in-flight
 // genes drain and the checkpoint stays consistent). Finished jobs
@@ -900,22 +919,18 @@ func (s *Server) indexPutLocked(job *Job) {
 func (s *Server) Cancel(id string) error {
 	job, ok := s.Job(id)
 	if !ok {
-		return fmt.Errorf("serve: no job %s", id)
+		return fmt.Errorf("%w: %s", ErrUnknownJob, id)
 	}
 	job.mu.Lock()
 	switch job.state {
 	case StateQueued:
 		job.cancelled = true
-		job.setLocked(StateCancelled, job.done, job.failed)
-		job.finished = time.Now()
-		s.indexPutLocked(job)
+		s.transitionLocked(job, StateCancelled, time.Now(), eventCancelled, "queued job cancelled")
 		job.mu.Unlock()
 		// Outside job.mu: the scheduler takes its own lock, and unlike
 		// the old channel queue the slot frees immediately instead of
 		// being skipped at dispatch time.
 		s.sched.remove(job)
-		s.met.jobEvents.With(eventCancelled).Inc()
-		s.log.Info("queued job cancelled", "job", id)
 		return nil
 	case StateRunning:
 		job.cancelled = true
@@ -973,12 +988,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	for _, job := range s.sched.drain() {
 		job.mu.Lock()
 		if job.state == StateQueued {
-			job.setLocked(StateInterrupted, job.done, job.failed)
-			job.finished = time.Now()
-			s.indexPutLocked(job)
-			s.met.jobEvents.With(eventInterrupted).Inc()
-			s.log.Info("queued job interrupted by shutdown; resumes on restart",
-				"job", job.id)
+			s.transitionLocked(job, StateInterrupted, time.Now(), eventInterrupted, msgInterrupted)
 		}
 		job.mu.Unlock()
 	}
@@ -988,6 +998,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.pool.Close()
 	return nil
 }
+
+// msgInterrupted logs a queued job that shutdown kept from running.
+const msgInterrupted = "queued job interrupted by shutdown; resumes on restart"
 
 // runner executes dispatched jobs until shutdown. The scheduler
 // applies the fair-share policy; dispatch returns nil once closed.
@@ -1018,23 +1031,19 @@ func (s *Server) runJob(job *Job) {
 		return
 	}
 	if s.closed {
-		job.setLocked(StateInterrupted, job.done, job.failed)
-		job.finished = time.Now()
-		s.indexPutLocked(job)
+		s.transitionLocked(job, StateInterrupted, time.Now(), eventInterrupted, msgInterrupted)
 		job.mu.Unlock()
 		s.mu.Unlock()
 		return
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	job.cancel = cancel
-	job.setLocked(StateRunning, job.done, job.failed)
-	job.started = time.Now()
+	s.transitionLocked(job, StateRunning, time.Now(), "", "job started", "genes", job.total)
 	job.mu.Unlock()
 	s.mu.Unlock()
 	defer cancel()
 	s.met.activeJobs.Inc()
 	defer s.met.activeJobs.Dec()
-	s.log.Info("job started", "job", job.id, "genes", job.total)
 
 	counts := manifest.OpenCountCache(job.countsPath)
 	sum, err := checkpoint.Run(ctx, checkpoint.RunConfig{
@@ -1072,7 +1081,6 @@ func (s *Server) runJob(job *Job) {
 	defer job.mu.Unlock()
 	job.summary = sum
 	job.cancel = nil
-	job.finished = time.Now()
 	var state string
 	switch {
 	case err == nil:
@@ -1087,20 +1095,17 @@ func (s *Server) runJob(job *Job) {
 		state = StateFailed
 		job.errMsg = err.Error()
 	}
-	job.setLocked(state, job.done, job.failed)
-	// fsync-before-describe: checkpoint.Run has made the results and
-	// ledger durable before this record claims the job finished.
-	s.indexPutLocked(job)
-	s.met.jobEvents.With(job.state).Inc() // states double as event names
-	attrs := []any{"job", job.id, "state", job.state, "done", job.done, "failed", job.failed}
+	msg, attrs := "job finished", []any{"state", state, "done", job.done, "failed", job.failed}
 	if sum != nil {
 		attrs = append(attrs, "runtime_sec", sum.Runtime.Seconds())
 	}
-	if job.state == StateFailed {
-		s.log.Warn("job failed", append(attrs, "error", job.errMsg)...)
-	} else {
-		s.log.Info("job finished", attrs...)
+	if state == StateFailed {
+		msg, attrs = "job failed", append(attrs, "error", job.errMsg)
 	}
+	// fsync-before-describe: checkpoint.Run has made the results and
+	// ledger durable before the index record claims the job finished.
+	// States double as event names.
+	s.transitionLocked(job, state, time.Now(), state, msg, attrs...)
 }
 
 // newJob wires a job's paths and in-memory state (caller holds s.mu or
@@ -1262,11 +1267,9 @@ func (s *Server) recover() ([]*Job, error) {
 		}
 		switch rec.State {
 		case StateDone, StateFailed, StateCancelled:
-			job := s.shellJob(rec)
-			s.jobs[rec.ID] = job
+			s.jobs[rec.ID] = s.shellJob(rec)
 			s.order = append(s.order, rec.ID)
 			fromIndex++
-			s.met.jobEvents.With(eventRecovered).Inc()
 		default:
 			// queued / running / interrupted: the checkpoint ledger is
 			// the authority on progress; revalidate and requeue.
@@ -1305,15 +1308,19 @@ func (s *Server) recover() ([]*Job, error) {
 func (s *Server) shellJob(rec checkpoint.JobIndexRecord) *Job {
 	job := s.newJob(rec.ID, JobSpec{Tenant: rec.Tenant}, nil, core.StreamOptions{})
 	job.total = rec.Total
-	job.setLocked(rec.State, rec.Done, rec.Failed)
+	job.setLocked(job.state, rec.Done, rec.Failed)
 	job.errMsg = rec.Error
 	job.digest = rec.Digest
 	if rec.SubmittedUnixNano != 0 {
 		job.submitted = time.Unix(0, rec.SubmittedUnixNano)
 	}
+	var finished time.Time
 	if rec.FinishedUnixNano != 0 {
-		job.finished = time.Unix(0, rec.FinishedUnixNano)
+		finished = time.Unix(0, rec.FinishedUnixNano)
 	}
+	// The rebuilt job describes exactly rec, so the index, which already
+	// holds rec, appends nothing.
+	s.transitionLocked(job, rec.State, finished, eventRecovered, "")
 	return job
 }
 
@@ -1321,46 +1328,43 @@ func (s *Server) shellJob(rec checkpoint.JobIndexRecord) *Job {
 // lists the result, refreshing its index record. Reports whether the
 // job needs requeueing.
 func (s *Server) revalidate(id string) (*Job, bool) {
-	job, resume, err := s.recoverJob(id)
-	switch {
-	case err != nil:
-		job.setLocked(StateFailed, job.done, job.failed)
-		job.errMsg = fmt.Sprintf("recovery: %v", err)
-		job.finished = time.Now()
-		resume = false
-		s.met.jobEvents.With(eventRecoveryFailed).Inc()
-		s.log.Warn("job revalidation refused; marked failed",
-			"job", id, "reason", err)
-	case resume:
-		s.met.jobEvents.With(eventRequeued).Inc()
-		s.log.Info("recovered unfinished job; requeued to resume",
-			"job", id, "genes", job.total, "done", job.done, "failed", job.failed)
-	default:
-		s.met.jobEvents.With(eventRecovered).Inc()
-		s.log.Info("recovered finished job", "job", id, "state", job.state)
-	}
+	job, finished, err := s.recoverJob(id)
 	s.jobs[id] = job
 	s.order = append(s.order, id)
-	s.indexPutLocked(job) // migrate / refresh the index record
-	return job, resume
+	// Each transition migrates / refreshes the job's index record.
+	switch {
+	case err != nil:
+		job.errMsg = fmt.Sprintf("recovery: %v", err)
+		s.transitionLocked(job, StateFailed, time.Now(), eventRecoveryFailed,
+			"job revalidation refused; marked failed", "reason", err)
+	case finished.IsZero():
+		s.transitionLocked(job, StateQueued, time.Time{}, eventRequeued,
+			"recovered unfinished job; requeued to resume", "genes", job.total, "done", job.done, "failed", job.failed)
+		return job, true
+	default:
+		s.transitionLocked(job, StateDone, finished, eventRecovered,
+			"recovered finished job", "state", StateDone)
+	}
+	return job, false
 }
 
-// recoverJob rebuilds one persisted job, reporting whether it still
-// needs to run. Always returns a job (possibly a shell holding only
-// the id) so failures stay visible.
-func (s *Server) recoverJob(id string) (*Job, bool, error) {
+// recoverJob rebuilds one persisted job with its checkpointed progress.
+// A job whose ledger covers every gene reports when it finished; a
+// zero finish time means it still needs to run. Always returns a job
+// (possibly a shell holding only the id) so failures stay visible.
+func (s *Server) recoverJob(id string) (*Job, time.Time, error) {
 	shell := s.newJob(id, JobSpec{}, nil, core.StreamOptions{})
 	data, err := os.ReadFile(shell.specPath)
 	if err != nil {
-		return shell, false, err
+		return shell, time.Time{}, err
 	}
 	var spec JobSpec
 	if err := json.Unmarshal(data, &spec); err != nil {
-		return shell, false, err
+		return shell, time.Time{}, err
 	}
 	entries, opts, err := s.resolveSpec(spec)
 	if err != nil {
-		return shell, false, err
+		return shell, time.Time{}, err
 	}
 	job := s.newJob(id, spec, entries, opts)
 	job.submitted = time.Now()
@@ -1370,28 +1374,27 @@ func (s *Server) recoverJob(id string) (*Job, bool, error) {
 		job.submitted = info.ModTime()
 	}
 	if _, err := os.Stat(job.ledgerPath); err != nil {
-		return job, true, nil // never started: run fresh
+		return job, time.Time{}, nil // never started: run fresh
 	}
 	ledger, err := checkpoint.Open(job.ledgerPath)
 	if err != nil {
-		return job, false, err
+		return job, time.Time{}, err
 	}
 	plan, err := ledger.Plan(entries, checkpoint.RunFingerprint(opts, s.cfg.Format))
 	ledger.Close()
 	if err != nil {
-		return job, false, err
+		return job, time.Time{}, err
 	}
 	job.setLocked(job.state, plan.Skip, plan.Failed)
-	if plan.Skip == len(entries) {
-		job.setLocked(StateDone, job.done, job.failed)
-		job.finished = time.Now()
-		if info, err := os.Stat(job.ledgerPath); err == nil {
-			// Likewise, the ledger's last write is when the job actually
-			// finished: keeps -retain aging across daemon restarts
-			// instead of resetting the clock every start.
-			job.finished = info.ModTime()
-		}
-		return job, false, nil
+	if plan.Skip < len(entries) {
+		return job, time.Time{}, nil
 	}
-	return job, true, nil
+	finished := time.Now()
+	if info, err := os.Stat(job.ledgerPath); err == nil {
+		// Likewise, the ledger's last write is when the job actually
+		// finished: keeps -retain aging across daemon restarts instead
+		// of resetting the clock every start.
+		finished = info.ModTime()
+	}
+	return job, finished, nil
 }

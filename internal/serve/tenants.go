@@ -121,36 +121,6 @@ func ParseTenants(r io.Reader) ([]Tenant, error) {
 	return tenants, nil
 }
 
-// checkTenants validates a directly injected tenant slice
-// (Config.Tenants) under the same rules the file parser applies.
-func checkTenants(tenants []Tenant) error {
-	names := make(map[string]bool)
-	tokens := make(map[string]bool)
-	if len(tenants) > maxTenants {
-		return fmt.Errorf("tenants: more than %d tenants", maxTenants)
-	}
-	for _, t := range tenants {
-		if err := validTenantName(t.Name); err != nil {
-			return fmt.Errorf("tenants: %w", err)
-		}
-		if err := validToken(t.Token); err != nil {
-			return fmt.Errorf("tenants: tenant %s: %w", t.Name, err)
-		}
-		if names[t.Name] {
-			return fmt.Errorf("tenants: duplicate tenant %q", t.Name)
-		}
-		if tokens[t.Token] {
-			return fmt.Errorf("tenants: tenant %s reuses another tenant's token", t.Name)
-		}
-		if t.MaxActive < 0 || t.MaxQueued < 0 {
-			return fmt.Errorf("tenants: tenant %s: negative quota", t.Name)
-		}
-		names[t.Name] = true
-		tokens[t.Token] = true
-	}
-	return nil
-}
-
 // LoadTenants reads a tenants file from disk.
 func LoadTenants(path string) ([]Tenant, error) {
 	f, err := os.Open(path)
