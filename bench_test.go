@@ -23,6 +23,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -489,9 +490,9 @@ func BenchmarkBatchDriver(b *testing.B) {
 	})
 	b.Run("batch", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := core.RunBatch(genes, core.BatchOptions{
-				Options:          opts,
-				ShareFrequencies: true,
+			var col core.CollectSink
+			res, err := core.RunBatchStream(context.Background(), core.NewSliceSource(genes), &col, core.StreamOptions{
+				BatchOptions: core.BatchOptions{Options: opts, ShareFrequencies: true},
 			})
 			if err != nil {
 				b.Fatal(err)

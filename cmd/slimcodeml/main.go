@@ -6,33 +6,34 @@
 // Usage:
 //
 //	slimcodeml -seq aln.fasta -tree tree.nwk [flags]
-//	slimcodeml -seq g1.fasta,g2.fasta,... -tree tree.nwk [flags]   (in-memory batch)
-//	slimcodeml -manifest genes.tsv -out results.jsonl [flags]      (streaming batch)
-//	slimcodeml -dir genes/ -out results.tsv [flags]                (streaming batch)
+//	slimcodeml -seq g1.fasta,g2.fasta,... -tree tree.nwk [flags]   (batch)
+//	slimcodeml -manifest genes.tsv -out results.jsonl [flags]      (batch)
+//	slimcodeml -dir genes/ -out results.tsv [flags]                (batch)
 //
 // In single-gene mode the output reports the H0 and H1 fits, the
 // likelihood ratio test, and the sites inferred to be under positive
-// selection. Passing several comma-separated alignments switches to
-// the in-memory multi-gene batch driver: all genes are tested against
-// the same tree, fitted -jobs at a time, with every likelihood engine
-// sharing one persistent worker pool (-workers) and one
-// eigendecomposition cache.
+// selection.
 //
-// The streaming modes scale past memory: -manifest reads rows of
-// "name alignment-path tree-path" (per-gene trees, Selectome-style;
-// '#' comments, paths relative to the manifest), -dir pairs
-// NAME.{fasta,fa,fna,phy,phylip} with NAME.{nwk,tree,newick}. Genes
-// are loaded through a bounded prefetch window (-prefetch, default
-// 2×jobs), fitted concurrently, and written to -out in manifest order
-// as JSON Lines or TSV (-outfmt, or by the -out extension); peak
-// memory is O(prefetch), not O(genes).
+// The three batch modes differ only in where the gene list comes
+// from: several comma-separated -seq alignments all tested against
+// the one -tree (each gene named by its file's base name), -manifest
+// rows of "name alignment-path tree-path" (per-gene trees,
+// Selectome-style; '#' comments, paths relative to the manifest), or
+// -dir pairing NAME.{fasta,fa,fna,phy,phylip} with
+// NAME.{nwk,tree,newick}. Genes are loaded through a bounded prefetch
+// window (-prefetch, default 2×jobs), fitted -jobs at a time with
+// every likelihood engine sharing one persistent worker pool
+// (-workers) and one eigendecomposition cache, and written to -out in
+// list order as JSON Lines or TSV (-outfmt, or by the -out extension;
+// TSV on stdout without -out); peak memory is O(prefetch), not
+// O(genes).
 //
-// -shard i/n (streaming modes) restricts the run to the i-th of n
+// -shard i/n (batch modes) restricts the run to the i-th of n
 // deterministic contiguous row ranges of the manifest — the multi-host
 // scale-out unit: launch one process per shard on the same manifest
 // and concatenate the JSONL outputs to recover the full run.
 //
-// -resume (streaming modes, JSONL output) makes the run durable: every
+// -resume (batch modes, JSONL output) makes the run durable: every
 // completed gene is checkpointed to a ledger beside -out, and rerunning
 // the identical command after a crash or Ctrl-C continues from the
 // last checkpointed gene, producing output byte-identical to an
@@ -67,22 +68,22 @@ func main() {
 	var (
 		seqPath   = flag.String("seq", "", "alignment file(s), comma-separated (FASTA or PHYLIP); two or more select batch mode")
 		treePath  = flag.String("tree", "", "Newick tree file with one branch marked #1")
-		maniPath  = flag.String("manifest", "", "streaming mode: manifest file with one 'name alignment-path tree-path' row per gene")
-		dirPath   = flag.String("dir", "", "streaming mode: directory pairing NAME.{fasta,fa,fna,phy,phylip} with NAME.{nwk,tree,newick}")
-		shard     = flag.String("shard", "", "streaming mode: run only shard i of n (\"i/n\", 1-based) of the manifest rows — one process per shard scales a manifest across machines; JSONL outputs concatenate")
-		resume    = flag.Bool("resume", false, "streaming mode (JSONL -out): checkpoint every gene to <out>.ckpt and continue a killed run from its last checkpoint; rerun the identical command to resume")
-		countCach = flag.String("countcache", "", "streaming mode: sidecar codon-count cache file for the -sharefreq pre-pass (warm cache = metadata-only pass)")
-		cacheDir  = flag.String("cachedir", "", "streaming mode: cross-run warm cache directory — re-runs of already-analyzed rows replay byte-identically with zero fitting")
-		warmStart = flag.Bool("warmstart", false, "streaming mode (with -cachedir): seed optimizers from the cache's last MLE when a gene's inputs match but options differ (relaxes bit-determinism)")
-		outPath   = flag.String("out", "", "streaming mode: results file (.jsonl or .tsv; empty = TSV on stdout)")
-		outFmt    = flag.String("outfmt", "auto", "streaming output format: jsonl, tsv or auto (by -out extension)")
-		prefetch  = flag.Int("prefetch", 0, "streaming mode: max genes resident at once (0 = 2×jobs)")
+		maniPath  = flag.String("manifest", "", "batch mode: manifest file with one 'name alignment-path tree-path' row per gene")
+		dirPath   = flag.String("dir", "", "batch mode: directory pairing NAME.{fasta,fa,fna,phy,phylip} with NAME.{nwk,tree,newick}")
+		shard     = flag.String("shard", "", "batch modes: run only shard i of n (\"i/n\", 1-based) of the manifest rows — one process per shard scales a manifest across machines; JSONL outputs concatenate")
+		resume    = flag.Bool("resume", false, "batch modes (JSONL -out): checkpoint every gene to <out>.ckpt and continue a killed run from its last checkpoint; rerun the identical command to resume")
+		countCach = flag.String("countcache", "", "batch modes: sidecar codon-count cache file for the -sharefreq pre-pass (warm cache = metadata-only pass)")
+		cacheDir  = flag.String("cachedir", "", "batch modes: cross-run warm cache directory — re-runs of already-analyzed rows replay byte-identically with zero fitting")
+		warmStart = flag.Bool("warmstart", false, "batch modes (with -cachedir): seed optimizers from the cache's last MLE when a gene's inputs match but options differ (relaxes bit-determinism)")
+		outPath   = flag.String("out", "", "batch modes: results file (.jsonl or .tsv; empty = TSV on stdout)")
+		outFmt    = flag.String("outfmt", "auto", "batch output format: jsonl, tsv or auto (by -out extension)")
+		prefetch  = flag.Int("prefetch", 0, "batch modes: max genes resident at once (0 = 2×jobs)")
 		format    = flag.String("format", "auto", "alignment format: fasta, phylip or auto")
 		engine    = flag.String("engine", "slim", "engine: baseline, slim, slim-sym or slim-bundled")
 		freq      = flag.String("freq", "f61", "codon frequencies: f61, f3x4 or uniform")
 		maxIter   = flag.Int("maxiter", 500, "maximum BFGS iterations per hypothesis")
 		seed      = flag.Int64("seed", 1, "seed for the starting parameter values")
-		alpha     = flag.Float64("alpha", 0.05, "significance level for the LRT")
+		alpha     = flag.Float64("alpha", 0.05, "significance level for the LRT (single-gene mode only)")
 		beb       = flag.Int("beb", 0, "BEB grid size per axis (0 disables; 5 matches a light PAML grid; single-gene mode only)")
 		m0start   = flag.Bool("m0start", false, "initialize branch lengths from an M0 pre-fit (Selectome-style)")
 		workers   = flag.Int("workers", 0, "block-pool likelihood workers (0 = serial engine; batch modes default to GOMAXPROCS)")
@@ -97,8 +98,9 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	streaming := *maniPath != "" || *dirPath != ""
-	if !streaming && (*seqPath == "" || *treePath == "") {
+	seqPaths := strings.Split(*seqPath, ",")
+	listed := *maniPath != "" || *dirPath != ""
+	if !listed && (*seqPath == "" || *treePath == "") {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -110,41 +112,29 @@ func main() {
 
 	var err error
 	switch {
-	case streaming:
-		if *seqPath != "" || *treePath != "" {
-			err = fmt.Errorf("-manifest/-dir carry their own alignments and trees; drop -seq and -tree")
-			break
-		}
-		if *maniPath != "" && *dirPath != "" {
-			err = fmt.Errorf("-manifest and -dir are mutually exclusive")
-			break
-		}
+	case listed && (*seqPath != "" || *treePath != ""):
+		err = fmt.Errorf("-manifest/-dir carry their own alignments and trees; drop -seq and -tree")
+	case *maniPath != "" && *dirPath != "":
+		err = fmt.Errorf("-manifest and -dir are mutually exclusive")
+	case listed || len(seqPaths) > 1:
 		if *beb > 0 {
-			fmt.Fprintln(os.Stderr, "slimcodeml: -beb applies to single-gene mode only; ignoring it for this stream")
+			fmt.Fprintln(os.Stderr, "slimcodeml: -beb applies to single-gene mode only; ignoring it for this batch")
 		}
 		err = runStream(streamConfig{
-			maniPath: *maniPath, dirPath: *dirPath, format: *format,
-			opts: opts, jobs: *jobs, workers: *workers, prefetch: *prefetch,
+			maniPath: *maniPath, dirPath: *dirPath, seqPaths: seqPaths, treePath: *treePath,
+			format: *format, opts: opts, jobs: *jobs, workers: *workers, prefetch: *prefetch,
 			shareFreq: *shareFreq, shard: *shard, outPath: *outPath,
 			outFmt: *outFmt, resume: *resume, countCache: *countCach,
 			cacheDir: *cacheDir, warmStart: *warmStart,
 		})
 	default:
 		if *shard != "" {
-			fmt.Fprintln(os.Stderr, "slimcodeml: -shard applies to -manifest/-dir mode only; ignoring it")
+			fmt.Fprintln(os.Stderr, "slimcodeml: -shard applies to batch modes only; ignoring it")
 		}
-		seqPaths := strings.Split(*seqPath, ",")
-		if len(seqPaths) > 1 {
-			if *beb > 0 {
-				fmt.Fprintln(os.Stderr, "slimcodeml: -beb applies to single-gene mode only; ignoring it for this batch")
-			}
-			err = runBatch(seqPaths, *treePath, *format, opts, *jobs, *workers, *shareFreq, *alpha)
-		} else {
-			if *jobs > 0 || *shareFreq {
-				fmt.Fprintln(os.Stderr, "slimcodeml: -jobs and -sharefreq apply to batch mode only; ignoring them for this single gene")
-			}
-			err = run(seqPaths[0], *treePath, *format, opts, *alpha, *beb)
+		if *jobs > 0 || *shareFreq {
+			fmt.Fprintln(os.Stderr, "slimcodeml: -jobs and -sharefreq apply to batch modes only; ignoring them for this single gene")
 		}
+		err = run(seqPaths[0], *treePath, *format, opts, *alpha, *beb)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "slimcodeml:", err)
@@ -152,9 +142,12 @@ func main() {
 	}
 }
 
-// streamConfig carries the streaming-mode flag set.
+// streamConfig carries the batch-mode flag set. The gene list comes
+// from maniPath, dirPath, or else seqPaths against treePath.
 type streamConfig struct {
 	maniPath, dirPath, format string
+	seqPaths                  []string
+	treePath                  string
 	opts                      core.Options
 	jobs, workers, prefetch   int
 	shareFreq                 bool
@@ -165,22 +158,15 @@ type streamConfig struct {
 	warmStart                 bool
 }
 
-// runStream drives the manifest/directory front end: genes stream
-// through core.RunBatchStream's bounded prefetch window and results
-// stream to the output file in manifest order. A -shard spec slices
-// the parsed manifest to its deterministic row range before anything
-// streams, so n cooperating processes cover the manifest exactly once.
-// Ctrl-C cancels the stream at a gene boundary; with -resume the run
-// is checkpointed gene by gene and rerunning the identical command
-// continues it.
+// runStream drives every batch mode: genes stream through
+// core.RunBatchStream's bounded prefetch window and results stream to
+// the output file in list order. A -shard spec slices the gene list to
+// its deterministic row range before anything streams, so n
+// cooperating processes cover it exactly once. Ctrl-C cancels the
+// stream at a gene boundary; with -resume the run is checkpointed gene
+// by gene and rerunning the identical command continues it.
 func runStream(cfg streamConfig) error {
-	var entries []manifest.Entry
-	var err error
-	if cfg.maniPath != "" {
-		entries, err = manifest.Load(cfg.maniPath)
-	} else {
-		entries, err = manifest.ScanDir(cfg.dirPath)
-	}
+	entries, err := streamEntries(cfg)
 	if err != nil {
 		return err
 	}
@@ -297,6 +283,28 @@ func runStream(cfg streamConfig) error {
 	return nil
 }
 
+// streamEntries builds the verified gene list of a batch run: the
+// manifest, the directory scan, or one entry per -seq alignment, named
+// by the file's base name without its extension and paired with the
+// one -tree.
+func streamEntries(cfg streamConfig) ([]manifest.Entry, error) {
+	switch {
+	case cfg.maniPath != "":
+		return manifest.Load(cfg.maniPath)
+	case cfg.dirPath != "":
+		return manifest.ScanDir(cfg.dirPath)
+	}
+	entries := make([]manifest.Entry, len(cfg.seqPaths))
+	for i, p := range cfg.seqPaths {
+		p = strings.TrimSpace(p)
+		if p == "" {
+			return nil, fmt.Errorf("empty alignment path in -seq list")
+		}
+		entries[i] = manifest.Entry{Name: strings.TrimSuffix(filepath.Base(p), filepath.Ext(p)), AlignPath: p, TreePath: cfg.treePath}
+	}
+	return entries, manifest.Verify(entries)
+}
+
 // runCheckpointed executes the -resume path: a checkpointed run via
 // the ledger beside -out, continuing any previous checkpointed run of
 // the identical command.
@@ -373,16 +381,12 @@ func fillEngineAndFreq(opts *core.Options, engine, freq string) error {
 	return err
 }
 
-func readTree(treePath string) (*newick.Tree, error) {
-	return core.ReadTreeFile(treePath)
-}
-
 func run(seqPath, treePath, format string, opts core.Options, alpha float64, bebGrid int) error {
 	a, err := readAlignment(seqPath, format)
 	if err != nil {
 		return err
 	}
-	tree, err := readTree(treePath)
+	tree, err := core.ReadTreeFile(treePath)
 	if err != nil {
 		return err
 	}
@@ -446,56 +450,6 @@ func run(seqPath, treePath, format string, opts core.Options, alpha float64, beb
 		}
 	}
 	fmt.Printf("\ntotal: %d iterations, %.2f s\n", res.TotalIterations, res.TotalRuntime.Seconds())
-	return nil
-}
-
-// runBatch tests every alignment against the same tree through the
-// multi-gene batch driver.
-func runBatch(seqPaths []string, treePath, format string, opts core.Options, jobs, workers int, shareFreq bool, alpha float64) error {
-	tree, err := readTree(treePath)
-	if err != nil {
-		return err
-	}
-	genes := make([]core.Gene, 0, len(seqPaths))
-	for _, p := range seqPaths {
-		p = strings.TrimSpace(p)
-		if p == "" {
-			return fmt.Errorf("empty alignment path in -seq list")
-		}
-		a, err := readAlignment(p, format)
-		if err != nil {
-			return fmt.Errorf("%s: %w", p, err)
-		}
-		name := strings.TrimSuffix(filepath.Base(p), filepath.Ext(p))
-		genes = append(genes, core.Gene{Name: name, Alignment: a, Tree: tree})
-	}
-
-	fmt.Printf("SlimCodeML batch: %d genes, %s engine\n\n", len(genes), opts.Engine)
-	res, err := core.RunBatch(genes, core.BatchOptions{
-		Options:          opts,
-		Concurrency:      jobs,
-		PoolWorkers:      workers,
-		ShareFrequencies: shareFreq,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%-20s %14s %14s %10s %10s %9s\n", "gene", "lnL(H0)", "lnL(H1)", "2ΔlnL", "p(χ²₁)", "signif")
-	for _, g := range res.Genes {
-		if g.Err != nil {
-			fmt.Printf("%-20s ERROR: %v\n", g.Name, g.Err)
-			continue
-		}
-		r := g.Result
-		sig := ""
-		if r.LRT.SignificantAt(alpha) {
-			sig = "*"
-		}
-		fmt.Printf("%-20s %14.4f %14.4f %10.4f %10.3g %9s\n",
-			g.Name, r.H0.LnL, r.H1.LnL, r.LRT.Statistic, r.LRT.PValueChi2, sig)
-	}
-	fmt.Printf("\nbatch: %d genes (%d failed), %.2f s, decomposition cache %d hits / %d misses\n",
-		len(res.Genes), res.Failed, res.Runtime.Seconds(), res.CacheHits, res.CacheMisses)
 	return nil
 }
 

@@ -120,7 +120,8 @@ func Create(path string, h Header) (*Ledger, error) {
 
 // Open loads the ledger at path and reopens it for appending. A torn
 // final line (a crash mid-append) is dropped — its gene is re-fitted;
-// a duplicate header, another version or a bad π record is an error.
+// a complete line that does not parse, a duplicate header, another
+// version or a bad π record is an error.
 func Open(path string) (*Ledger, error) {
 	l := &Ledger{}
 	log, _, err := openLog(path, Version, func(ln ledgerLine) error {

@@ -1,8 +1,10 @@
 package checkpoint
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/manifest"
@@ -103,6 +105,52 @@ func TestLedgerTornTail(t *testing.T) {
 	defer l3.Close()
 	if got := len(l3.Records()); got != 2 {
 		t.Fatalf("append after torn tail lost records: %d", got)
+	}
+}
+
+// A complete line that does not parse in the middle of a ledger is
+// corruption, not a torn tail: Open must fail naming the path and the
+// line, and must not cut the file (which would silently drop every
+// later record and make a resume refit them).
+func TestLedgerCorruptMiddleLineFailsOpen(t *testing.T) {
+	entries := testEntries(3)
+	path := filepath.Join(t.TempDir(), "l.ckpt")
+	l, err := Create(path, Header{ManifestDigest: manifest.Digest(entries), Genes: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, off := range []int64{10, 25, 40} {
+		if err := l.Append(Record{Seq: i, Name: entries[i].Name, Digest: entries[i].Digest(), Offset: off}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := bytes.Replace(data, []byte(`"offset":25`), []byte(`"offset":2X`), 1)
+	if bytes.Equal(bad, data) {
+		t.Fatal("second record not found")
+	}
+	if err := os.WriteFile(path, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	l2, err := Open(path)
+	if err == nil {
+		l2.Close()
+		t.Fatal("ledger with a corrupt middle line opened")
+	}
+	if msg := err.Error(); !strings.Contains(msg, path) || !strings.Contains(msg, "line 3") {
+		t.Fatalf("error %q does not name the path and line 3", msg)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, bad) {
+		t.Fatalf("failed open changed the file: %d bytes, want %d", len(after), len(bad))
 	}
 }
 

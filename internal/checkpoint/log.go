@@ -12,8 +12,8 @@ import (
 // index. Each ledger brings its own line envelope and decoder; the log
 // owns the discipline they share: a header line written at creation,
 // every append marshalled, written and fsynced before it returns, and
-// a torn tail (a crash mid-append) dropped on open so appends continue
-// from a clean line boundary.
+// a torn tail (a crash mid-append, so never newline-terminated) dropped
+// on open so appends continue from a clean line boundary.
 type appendLog struct {
 	path string
 	f    *os.File
@@ -42,25 +42,26 @@ type envelope interface {
 
 // openLog reads the log at path and hands each complete line, in
 // order, to decode as an envelope L. The first line must be the only
-// header and name version want; anything else is an error. The first
-// line without a trailing newline or that does not parse is a torn
-// tail (a crash mid-append): it and everything after it are cut from
-// the file, and torn reports that. The log is returned open for
-// appends at the end of the last good line.
+// header and name version want; anything else is an error. Only the
+// bytes after the last newline can be a torn tail (a crash
+// mid-append): they are cut from the file, and torn reports that. A
+// complete line that does not parse is corruption, not a torn append:
+// it fails the open, naming the line, and leaves the file as it was.
+// The log is returned open for appends at the end of the last line.
 func openLog[L envelope](path string, want int, decode func(L) error) (l appendLog, torn bool, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return appendLog{}, false, fmt.Errorf("checkpoint: %w", err)
 	}
 	good := 0 // bytes covered by fully parsed lines
-	for good < len(data) {
+	for lineNo := 1; good < len(data); lineNo++ {
 		n := bytes.IndexByte(data[good:], '\n')
 		if n < 0 {
 			break
 		}
 		var ln L
-		if json.Unmarshal(data[good:good+n], &ln) != nil {
-			break
+		if err := json.Unmarshal(data[good:good+n], &ln); err != nil {
+			return appendLog{}, false, fmt.Errorf("checkpoint: %s: line %d: %w", path, lineNo, err)
 		}
 		switch v, header := ln.version(); {
 		case header && good > 0:

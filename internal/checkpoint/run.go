@@ -21,9 +21,8 @@ type RunConfig struct {
 	// Format selects the alignment file format (FormatAuto sniffs).
 	Format align.Format
 	// OutPath is the JSONL results file; the ledger lives beside it
-	// (LedgerPath) unless LedgerFile overrides it.
-	OutPath    string
-	LedgerFile string
+	// (LedgerPath).
+	OutPath string
 	// Opts configures the stream. ShareFrequencies runs compute π once
 	// and record it in the ledger; resumed runs replay it.
 	Opts core.StreamOptions
@@ -59,10 +58,7 @@ func Run(ctx context.Context, cfg RunConfig) (*core.StreamSummary, error) {
 	if cfg.Opts.Persist != nil && cfg.Opts.PersistFingerprint == "" {
 		cfg.Opts.PersistFingerprint = OptionsFingerprint(cfg.Opts.BatchOptions, cfg.Format)
 	}
-	ledgerPath := cfg.LedgerFile
-	if ledgerPath == "" {
-		ledgerPath = LedgerPath(cfg.OutPath)
-	}
+	ledgerPath := LedgerPath(cfg.OutPath)
 
 	var ledger *Ledger
 	var plan Plan

@@ -52,7 +52,7 @@ func newGeneAnalysis(g *Gene, opts Options) (*Analysis, error) {
 }
 
 // newAnalysis finishes construction from compressed patterns — the
-// shared tail of NewAnalysis and the batch drivers' prepared path.
+// shared tail of NewAnalysis and the batch driver's prepared path.
 func newAnalysis(t *newick.Tree, pats *align.Patterns, names []string, opts Options) (*Analysis, error) {
 	if got := len(t.ForegroundBranches()); got != 1 {
 		return nil, fmt.Errorf("core: tree must mark exactly one foreground branch (#1), found %d", got)

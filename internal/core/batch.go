@@ -1,11 +1,6 @@
 package core
 
 import (
-	"context"
-	"fmt"
-	"runtime"
-	"time"
-
 	"repro/internal/align"
 	"repro/internal/codon"
 	"repro/internal/newick"
@@ -22,8 +17,8 @@ type Gene struct {
 	Alignment *align.Alignment
 	Tree      *newick.Tree
 
-	// Cached encode+compress product (see Patterns). The batch drivers
-	// fill it at most once per gene, so the shared-frequency pre-pass
+	// Cached encode+compress product (see Patterns). The batch driver
+	// fills it at most once per gene, so the shared-frequency pre-pass
 	// and the fit reuse a single encoding.
 	encCode  *codon.GeneticCode
 	encPats  *align.Patterns
@@ -49,7 +44,7 @@ type Gene struct {
 // Patterns returns the gene's codon-encoded, pattern-compressed
 // alignment under the genetic code, encoding at most once: repeated
 // calls with the same code return the cached product. Not safe for
-// concurrent use on one Gene — the batch drivers touch each gene from
+// concurrent use on one Gene — the batch driver touches each gene from
 // one goroutine at a time (the serial pre-pass, then exactly one
 // worker).
 func (g *Gene) Patterns(gc *codon.GeneticCode) (*align.Patterns, []string, error) {
@@ -70,17 +65,15 @@ func (g *Gene) Patterns(gc *codon.GeneticCode) (*align.Patterns, []string, error
 	return g.encPats, g.encNames, nil
 }
 
-// BatchOptions configures RunBatch and (embedded in StreamOptions)
-// RunBatchStream. The embedded Options apply to every gene.
+// BatchOptions configures a batch run (embedded in StreamOptions for
+// RunBatchStream). The embedded Options apply to every gene.
 type BatchOptions struct {
 	Options
 	// Concurrency is the number of genes fitted concurrently; 0
-	// selects min(GOMAXPROCS, #genes).
+	// selects GOMAXPROCS.
 	Concurrency int
 	// PoolWorkers sizes the worker pool shared by every gene's
-	// likelihood engine: 0 selects GOMAXPROCS, a negative value
-	// disables the shared pool (each gene then follows
-	// Options.Workers on its own).
+	// likelihood engine; 0 (or less) selects GOMAXPROCS.
 	PoolWorkers int
 	// ShareFrequencies estimates one equilibrium frequency vector from
 	// the pooled codon counts of all genes instead of per-gene
@@ -103,54 +96,4 @@ type GeneResult struct {
 	// since Go's JSON encoding round-trips (its runtime_sec is the
 	// stored deterministic projection's zero).
 	Rec *GeneRecord
-}
-
-// BatchResult aggregates a batch run.
-type BatchResult struct {
-	Genes []GeneResult // in input order
-	// Failed counts genes whose analysis returned an error.
-	Failed int
-	// CacheHits / CacheMisses report the shared eigendecomposition
-	// cache's effectiveness.
-	CacheHits, CacheMisses int
-	Runtime                time.Duration
-}
-
-// RunBatch runs the full branch-site test on every gene, fitting up to
-// Concurrency genes at once while all likelihood engines execute their
-// (class × pattern-block) tiles on one shared persistent worker pool
-// and share one eigendecomposition cache. Per-gene results are
-// bit-identical to a sequential Analysis.Run with the same Options:
-// parallelism only reorders independent work, never the arithmetic.
-//
-// RunBatch is the in-memory tier of the batch driver — a SliceSource
-// plus CollectSink around RunBatchStream. For collections that should
-// not be materialized (millions of genes), stream them instead: see
-// RunBatchStream and ManifestSource.
-func RunBatch(genes []Gene, opts BatchOptions) (*BatchResult, error) {
-	if len(genes) == 0 {
-		return nil, fmt.Errorf("core: RunBatch needs at least one gene")
-	}
-	conc := opts.Concurrency
-	if conc <= 0 {
-		conc = runtime.GOMAXPROCS(0)
-	}
-	if conc > len(genes) {
-		conc = len(genes)
-	}
-	sopts := StreamOptions{BatchOptions: opts}
-	sopts.Concurrency = conc
-	sopts.CacheSize = 4 * len(genes)
-	var col CollectSink
-	sum, err := RunBatchStream(context.Background(), NewSliceSource(genes), &col, sopts)
-	if err != nil {
-		return nil, err
-	}
-	return &BatchResult{
-		Genes:       col.Results(),
-		Failed:      sum.Failed,
-		CacheHits:   sum.CacheHits,
-		CacheMisses: sum.CacheMisses,
-		Runtime:     sum.Runtime,
-	}, nil
 }

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"repro/internal/align"
 	"repro/internal/bsm"
 	"repro/internal/codon"
+	"repro/internal/lik"
 	"repro/internal/newick"
 	"repro/internal/sim"
 )
@@ -34,6 +36,18 @@ func batchGenes(t *testing.T, n int) []Gene {
 	return genes
 }
 
+// runSlice streams the in-memory genes through the batch driver and
+// returns the collected results with the run's summary.
+func runSlice(t *testing.T, genes []Gene, opts BatchOptions) ([]GeneResult, *StreamSummary) {
+	t.Helper()
+	var col CollectSink
+	sum, err := RunBatchStream(context.Background(), NewSliceSource(genes), &col, StreamOptions{BatchOptions: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return col.Results(), sum
+}
+
 // The batch driver must reproduce sequential per-gene runs exactly:
 // shared workers and the shared decomposition cache reorder work but
 // never change arithmetic.
@@ -54,18 +68,15 @@ func TestRunBatchMatchesSequential(t *testing.T) {
 		want[i] = res.H1.LnL
 	}
 
-	batch, err := RunBatch(genes, BatchOptions{
+	got, batch := runSlice(t, genes, BatchOptions{
 		Options:     opts,
 		Concurrency: 2,
 		PoolWorkers: 2,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if batch.Failed != 0 {
 		t.Fatalf("batch reported %d failures", batch.Failed)
 	}
-	for i, g := range batch.Genes {
+	for i, g := range got {
 		if g.Err != nil {
 			t.Fatalf("gene %s: %v", g.Name, g.Err)
 		}
@@ -86,17 +97,14 @@ func TestRunBatchMatchesSequential(t *testing.T) {
 // the decomposition cache effective across genes.
 func TestRunBatchSharedFrequencies(t *testing.T) {
 	genes := batchGenes(t, 3)
-	batch, err := RunBatch(genes, BatchOptions{
+	got, batch := runSlice(t, genes, BatchOptions{
 		Options:          Options{Engine: EngineSlim, MaxIterations: 4, Seed: 1},
 		ShareFrequencies: true,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if batch.Failed != 0 {
 		t.Fatalf("batch reported %d failures", batch.Failed)
 	}
-	for _, g := range batch.Genes {
+	for _, g := range got {
 		if g.Result == nil || math.IsNaN(g.Result.H1.LnL) {
 			t.Fatalf("gene %s: missing result", g.Name)
 		}
@@ -123,40 +131,56 @@ func TestRunBatchPartialFailure(t *testing.T) {
 		Alignment: &align.Alignment{Names: []string{"A", "B", "C"}, Seqs: []string{"ATG", "ATG", "ATG"}},
 		Tree:      bad,
 	})
-	batch, err := RunBatch(genes, BatchOptions{
+	got, batch := runSlice(t, genes, BatchOptions{
 		Options: Options{Engine: EngineSlim, MaxIterations: 3, Seed: 1},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if batch.Failed != 1 {
 		t.Fatalf("Failed = %d, want 1", batch.Failed)
 	}
-	if batch.Genes[2].Err == nil {
+	if got[2].Err == nil {
 		t.Fatal("bad gene did not record an error")
 	}
-	for _, g := range batch.Genes[:2] {
+	for _, g := range got[:2] {
 		if g.Err != nil || g.Result == nil {
 			t.Fatalf("good gene %s failed: %v", g.Name, g.Err)
 		}
 	}
 }
 
+// The batch driver refuses to run without a source or a sink.
 func TestRunBatchValidation(t *testing.T) {
-	if _, err := RunBatch(nil, BatchOptions{}); err == nil {
-		t.Fatal("empty batch accepted")
+	if _, err := RunBatchStream(context.Background(), nil, &CollectSink{}, StreamOptions{}); err == nil {
+		t.Fatal("nil source accepted")
+	}
+	if _, err := RunBatchStream(context.Background(), NewSliceSource(nil), nil, StreamOptions{}); err == nil {
+		t.Fatal("nil sink accepted")
 	}
 }
 
 // The per-analysis Workers option must not change fit results either —
-// the end-to-end determinism guarantee at the Analysis level.
+// the end-to-end determinism guarantee at the Analysis level. The gene
+// has more than two default-size pattern blocks, so the parallel fit
+// runs several tiles per class.
 func TestAnalysisWorkersBitIdentical(t *testing.T) {
-	genes := batchGenes(t, 1)
-	g := genes[0]
-	base := Options{Engine: EngineSlimBundled, MaxIterations: 4, Seed: 1}
-	an, err := NewAnalysis(g.Alignment, g.Tree, base)
+	tree, err := sim.RandomTree(sim.TreeConfig{Species: 5, MeanBranchLength: 0.2, Seed: 40})
 	if err != nil {
 		t.Fatal(err)
+	}
+	aln, err := sim.Simulate(tree, codon.Universal, sim.SeqConfig{
+		Sites:  200,
+		Params: bsm.Params{Kappa: 2, Omega0: 0.2, Omega2: 3, P0: 0.5, P1: 0.3},
+		Seed:   90,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := Options{Engine: EngineSlimBundled, MaxIterations: 4, Seed: 1}
+	an, err := NewAnalysis(aln, tree, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := an.NumPatterns(); n <= 2*lik.DefaultBlockSize {
+		t.Fatalf("fixture has %d patterns, want more than %d (several tiles)", n, 2*lik.DefaultBlockSize)
 	}
 	want, err := an.Run()
 	if err != nil {
@@ -165,8 +189,7 @@ func TestAnalysisWorkersBitIdentical(t *testing.T) {
 
 	par := base
 	par.Workers = 4
-	par.BlockSize = 4
-	anP, err := NewAnalysis(g.Alignment, g.Tree, par)
+	anP, err := NewAnalysis(aln, tree, par)
 	if err != nil {
 		t.Fatal(err)
 	}

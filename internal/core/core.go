@@ -37,11 +37,11 @@
 //     per-slot tasks, so no serial kernel phase remains between
 //     optimizer iterations.
 //   - Streaming batch: many genes pulled through a bounded prefetch
-//     window by RunBatchStream (RunBatch is its in-memory wrapper),
-//     fitted concurrently on one shared pool and one shared
-//     eigendecomposition cache, results streamed to a ResultSink in
-//     source order. The stream is context-cancellable at gene
-//     boundaries; delivered results always form a prefix of the
+//     window by RunBatchStream (from memory via SliceSource, from disk
+//     via ManifestSource), fitted concurrently on one shared pool and
+//     one shared eigendecomposition cache, results streamed to a
+//     ResultSink in source order. The stream is context-cancellable at
+//     gene boundaries; delivered results always form a prefix of the
 //     source order.
 //
 // A fourth tier — resumable, checkpointed runs and the HTTP job
@@ -77,7 +77,6 @@ import (
 func (o *Options) likConfig() lik.Config {
 	cfg := o.Engine.LikConfig()
 	cfg.Workers = o.Workers
-	cfg.BlockSize = o.BlockSize
 	cfg.Pool = o.pool
 	cfg.Decomps = o.decomps
 	return cfg
@@ -225,16 +224,13 @@ type Options struct {
 	// with that many persistent workers per analysis; 0 keeps the
 	// serial engine. Results are bit-identical either way.
 	Workers int
-	// BlockSize is the pattern count per worker tile (0 = engine
-	// default). The result does not depend on it.
-	BlockSize int
 	// Frequencies, when non-nil, fixes the equilibrium codon
 	// frequencies instead of estimating them with Freq — the batch
 	// driver's shared-frequency mode uses this to make cached
 	// eigendecompositions reusable across genes.
 	Frequencies []float64
 
-	// Shared batch resources, injected by RunBatch.
+	// Shared batch resources, injected by RunBatchStream.
 	pool    *lik.Pool
 	decomps *lik.DecompCache
 

@@ -141,8 +141,8 @@ func tsvF(v float64) string { return strconv.FormatFloat(v, 'f', 6, 64) }
 func tsvG(v float64) string { return strconv.FormatFloat(v, 'g', 6, 64) }
 
 // CollectSink accumulates results in memory, in delivery order — the
-// adapter RunBatch uses, and the natural sink for moderate batches
-// whose results are consumed programmatically.
+// natural sink for moderate batches whose results are consumed
+// programmatically.
 type CollectSink struct{ results []GeneResult }
 
 // Write appends the result.

@@ -55,10 +55,10 @@ type ResultSink interface {
 	Write(GeneResult) error
 }
 
-// SliceSource adapts an in-memory gene slice to the streaming driver;
-// RunBatch is built on it. It yields pointers into the slice, so the
-// per-gene encode cache (Gene.Patterns) persists across the
-// shared-frequency pre-pass and the fits.
+// SliceSource adapts an in-memory gene slice to the streaming driver.
+// It yields pointers into the slice, so the per-gene encode cache
+// (Gene.Patterns) persists across the shared-frequency pre-pass and
+// the fits.
 type SliceSource struct {
 	genes []Gene
 	next  int
@@ -83,6 +83,11 @@ func (s *SliceSource) Reset() error {
 	return nil
 }
 
+// streamCacheEntries caps the eigendecomposition cache a stream makes
+// for itself (entries). The cache is exact, so its size changes speed,
+// never a result.
+const streamCacheEntries = 256
+
 // StreamOptions configures RunBatchStream.
 type StreamOptions struct {
 	BatchOptions
@@ -92,17 +97,15 @@ type StreamOptions struct {
 	// delivery. 0 selects 2×Concurrency. Peak alignment memory is
 	// O(Prefetch), independent of the collection size.
 	Prefetch int
-	// CacheSize caps the shared eigendecomposition cache (entries);
-	// 0 selects a default sized for an unbounded stream.
-	CacheSize int
 	// Pool, when non-nil, is an externally owned worker pool the
 	// stream's engines share — the job service runs every job on one.
 	// PoolWorkers is then ignored and the pool is not closed when the
 	// stream ends.
 	Pool *lik.Pool
 	// Decomps, when non-nil, is an externally owned eigendecomposition
-	// cache shared across streams; CacheSize is then ignored. The
-	// summary's hit/miss counts report only this stream's deltas.
+	// cache shared across streams; otherwise the stream makes its own
+	// of streamCacheEntries entries. The summary's hit/miss counts
+	// report only this stream's deltas.
 	Decomps *lik.DecompCache
 	// Persist, when non-nil, is the cross-run warm cache: sources that
 	// support it (ManifestSource) replay already-stored results
@@ -151,18 +154,17 @@ type StreamSummary struct {
 
 // RunBatchStream runs the full branch-site test on every gene the
 // source yields, delivering results to the sink in source order. It is
-// the streaming tier of the batch driver: where RunBatch holds the
-// whole collection, RunBatchStream holds at most Prefetch genes — a
-// producer goroutine pulls genes through a bounded window, Concurrency
-// workers fit them (sharing one persistent likelihood worker pool and
-// one eigendecomposition cache, exactly as RunBatch does), and a
-// serial collector reorders finished results for the sink. A gene's
-// window slot is released only after its result reaches the sink, so
-// the bound covers queued, in-flight and reorder-pending genes alike.
+// the batch driver: it holds at most Prefetch genes — a producer
+// goroutine pulls genes through a bounded window, Concurrency workers
+// fit them (sharing one persistent likelihood worker pool and one
+// eigendecomposition cache), and a serial collector reorders finished
+// results for the sink. A gene's window slot is released only after
+// its result reaches the sink, so the bound covers queued, in-flight
+// and reorder-pending genes alike.
 //
-// Per-gene results are bit-identical to RunBatch and to a sequential
-// Analysis.Run with the same Options: the streaming machinery reorders
-// independent work, never the arithmetic.
+// Per-gene results are bit-identical to a sequential Analysis.Run with
+// the same Options: the streaming machinery reorders independent work,
+// never the arithmetic.
 //
 // Cancelling ctx aborts the stream: no new gene starts fitting, results
 // not yet delivered are discarded, and the run returns an error
@@ -188,20 +190,14 @@ func RunBatchStream(ctx context.Context, src GeneSource, sink ResultSink, opts S
 	}
 
 	geneOpts := opts.Options
-	if opts.Pool != nil {
-		geneOpts.pool = opts.Pool
-	} else if opts.PoolWorkers >= 0 {
-		pool := lik.NewPool(opts.PoolWorkers)
-		defer pool.Close()
-		geneOpts.pool = pool
+	geneOpts.pool = opts.Pool
+	if geneOpts.pool == nil {
+		geneOpts.pool = lik.NewPool(opts.PoolWorkers)
+		defer geneOpts.pool.Close()
 	}
 	cache := opts.Decomps
 	if cache == nil {
-		cacheSize := opts.CacheSize
-		if cacheSize <= 0 {
-			cacheSize = 256
-		}
-		cache = lik.NewDecompCache(cacheSize)
+		cache = lik.NewDecompCache(streamCacheEntries)
 	}
 	geneOpts.decomps = cache
 	hits0, misses0 := cache.Stats()
@@ -434,7 +430,7 @@ func SharedFrequencies(ctx context.Context, src ReplayableSource, opts Options) 
 // streams every gene once, pooling codon counts with the batch's Freq
 // estimator, then rewinds the source. Each gene's encode+compress
 // product is cached on the Gene, so sources that replay the same Gene
-// values (SliceSource — hence RunBatch) encode exactly once across
+// values (SliceSource) encode exactly once across
 // both passes; sources that reload genes from disk pay one extra
 // encode per gene, never O(collection) memory — unless they implement
 // PooledCounter (ManifestSource with its sidecar count cache), in

@@ -75,19 +75,38 @@ func writeManifestDir(t *testing.T, genes []Gene) []manifest.Entry {
 	return loaded
 }
 
-// A ≥20-gene manifest must stream end-to-end and reproduce the
-// in-memory RunBatch results bit-for-bit: the file round trip (FASTA,
-// Newick %g lengths) and the streaming machinery change nothing.
-func TestRunBatchStreamManifestMatchesRunBatch(t *testing.T) {
+// A ≥20-gene manifest must stream end-to-end and reproduce sequential
+// per-gene Analysis.Run results bit-for-bit: the file round trip
+// (FASTA, Newick %g lengths) and the streaming machinery change
+// nothing.
+func TestRunBatchStreamManifestMatchesSequential(t *testing.T) {
 	genes := streamGenes(t, 20)
 	opts := BatchOptions{
 		Options:     Options{Engine: EngineSlim, MaxIterations: 1, Seed: 1},
 		Concurrency: 4,
 		PoolWorkers: 2,
 	}
-	want, err := RunBatch(genes, opts)
-	if err != nil {
-		t.Fatal(err)
+	// One independent Analysis per gene, run side by side so the
+	// reference costs no more wall time than the stream under -race.
+	want := make([]*TestResult, len(genes))
+	errs := make([]error, len(genes))
+	var wg sync.WaitGroup
+	for i, g := range genes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			an, err := NewAnalysis(g.Alignment, g.Tree, opts.Options)
+			if err == nil {
+				want[i], err = an.Run()
+			}
+			errs[i] = err
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	entries := writeManifestDir(t, genes)
@@ -111,9 +130,9 @@ func TestRunBatchStreamManifestMatchesRunBatch(t *testing.T) {
 		if g.Err != nil {
 			t.Fatalf("gene %s: %v", g.Name, g.Err)
 		}
-		w := want.Genes[i].Result
+		w := want[i]
 		if g.Result.H0.LnL != w.H0.LnL || g.Result.H1.LnL != w.H1.LnL {
-			t.Fatalf("gene %s: stream lnL (%0.17g, %0.17g) != batch (%0.17g, %0.17g)",
+			t.Fatalf("gene %s: stream lnL (%0.17g, %0.17g) != sequential (%0.17g, %0.17g)",
 				g.Name, g.Result.H0.LnL, g.Result.H1.LnL, w.H0.LnL, w.H1.LnL)
 		}
 	}
@@ -193,7 +212,7 @@ func TestRunBatchStreamBoundedPrefetchAndOrdering(t *testing.T) {
 		BatchOptions: BatchOptions{
 			Options:     Options{Engine: EngineSlim, MaxIterations: 1, Seed: 1},
 			Concurrency: 8,
-			PoolWorkers: -1,
+			PoolWorkers: 1,
 		},
 		Prefetch: prefetch,
 	})
@@ -218,13 +237,10 @@ func TestRunBatchStreamBoundedPrefetchAndOrdering(t *testing.T) {
 // fit reuses it (previously each gene was encoded twice).
 func TestRunBatchShareFrequenciesEncodesOnce(t *testing.T) {
 	genes := streamGenes(t, 3)
-	batch, err := RunBatch(genes, BatchOptions{
+	_, batch := runSlice(t, genes, BatchOptions{
 		Options:          Options{Engine: EngineSlim, MaxIterations: 2, Seed: 1},
 		ShareFrequencies: true,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if batch.Failed != 0 {
 		t.Fatalf("batch reported %d failures", batch.Failed)
 	}
@@ -382,7 +398,7 @@ func TestRunBatchStreamCancellation(t *testing.T) {
 		BatchOptions: BatchOptions{
 			Options:     Options{Engine: EngineSlim, MaxIterations: 1, Seed: 1},
 			Concurrency: 2,
-			PoolWorkers: -1,
+			PoolWorkers: 1,
 		},
 		Prefetch: 3,
 	})

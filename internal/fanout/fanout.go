@@ -148,9 +148,8 @@ type Config struct {
 	Reprobe    time.Duration
 	ReprobeMax time.Duration
 	// OutPath is the merged JSONL output; the shard ledger lives beside
-	// it (checkpoint.ShardLedgerPath) unless LedgerFile overrides it.
-	OutPath    string
-	LedgerFile string
+	// it (checkpoint.ShardLedgerPath).
+	OutPath string
 	// Spec carries the result-affecting job options. Its manifest
 	// fields (Manifest, ManifestPath, BaseDir) must be empty — the
 	// coordinator fills in each shard's rows. ShareFrequencies makes
@@ -524,10 +523,7 @@ func newCoord(ctx context.Context, cfg Config) (*coord, error) {
 	c.sum.Shards = cfg.Shards
 
 	fp := Fingerprint(cfg.Spec)
-	ledgerPath := cfg.LedgerFile
-	if ledgerPath == "" {
-		ledgerPath = checkpoint.ShardLedgerPath(cfg.OutPath)
-	}
+	ledgerPath := checkpoint.ShardLedgerPath(cfg.OutPath)
 	var plan checkpoint.ShardPlan
 	if _, statErr := os.Stat(ledgerPath); statErr == nil {
 		c.ledger, err = checkpoint.OpenShardLedger(ledgerPath)

@@ -104,10 +104,6 @@ type Config struct {
 	Kernel  blas.Kernel
 	PMethod expm.Method
 	Apply   ApplyMode
-	// ScaleThreshold triggers per-pattern rescaling of conditional
-	// vectors when their maximum drops below it; zero selects the
-	// default 1e-100.
-	ScaleThreshold float64
 	// Workers > 0 selects the block-pool engine with an engine-owned
 	// pool of that many persistent workers (call Close to release
 	// them). Ignored when Pool is set.
@@ -116,23 +112,29 @@ type Config struct {
 	// pool instead of an engine-owned one — the multi-gene batch
 	// driver points every gene's engine at one pool.
 	Pool *Pool
-	// BlockSize is the number of patterns per tile in block-pool mode;
-	// zero selects DefaultBlockSize. The result does not depend on it.
-	BlockSize int
 	// Decomps, when non-nil, caches eigendecompositions across
 	// SetModel calls and across engines sharing the cache.
 	Decomps *DecompCache
+
+	// scaleThreshold triggers per-pattern rescaling of conditional
+	// vectors when their maximum drops below it; zero selects the
+	// default 1e-100. Only in-package tests set it.
+	scaleThreshold float64
+	// blockSize is the number of patterns per tile when a pool is
+	// attached; zero selects DefaultBlockSize. The result does not
+	// depend on it. Only in-package tests set it.
+	blockSize int
 }
 
 func (c *Config) fill() {
 	if c.Kernel == nil {
 		c.Kernel = blas.ActiveKernel()
 	}
-	if c.ScaleThreshold == 0 {
-		c.ScaleThreshold = 1e-100
+	if c.scaleThreshold == 0 {
+		c.scaleThreshold = 1e-100
 	}
-	if c.BlockSize <= 0 {
-		c.BlockSize = DefaultBlockSize
+	if c.blockSize <= 0 {
+		c.blockSize = DefaultBlockSize
 	}
 }
 
@@ -174,9 +176,9 @@ type Engine struct {
 	maxDepth int
 
 	// Block-pool execution: blocks partitions [0, npat); pool is the
-	// engine-owned or shared worker-indexed pool (nil → everything
-	// runs inline on the calling goroutine as worker 0 of the
-	// engine-owned arena).
+	// engine-owned or shared worker-indexed pool. A pool-less engine
+	// has the single block [0, npat) and runs every task inline on the
+	// calling goroutine as worker 0 of the engine-owned arena.
 	blocks   []blockRange
 	pool     *Pool
 	ownsPool bool
@@ -229,8 +231,10 @@ type Engine struct {
 	scrScale2    [][]float64
 	scrRootScale [][]float64
 
-	// vecScratch is the apply-mode scratch vector of a pool-less
-	// engine; pooled tiles use their worker's Pool.Vec instead.
+	// vecScratch is the apply-mode scratch vector of work the engine
+	// runs inline: every task of a pool-less engine, and a pooled
+	// engine's single-block branch walk. Pooled tiles use their
+	// worker's Pool.Vec instead.
 	vecScratch []float64
 
 	// siteLnL[p] is pattern p's weighted log-likelihood contribution,
@@ -319,30 +323,34 @@ func New(t *newick.Tree, pats *align.Patterns, names []string, cfg Config) (*Eng
 		}
 	}
 
-	// Pattern-block tiles and the worker pool.
-	for lo := 0; lo < e.npat; lo += cfg.BlockSize {
-		hi := lo + cfg.BlockSize
-		if hi > e.npat {
-			hi = e.npat
-		}
-		e.blocks = append(e.blocks, blockRange{lo: lo, hi: hi})
-	}
-	if len(e.blocks) == 0 {
-		e.blocks = []blockRange{{0, 0}}
-	}
+	// The worker pool and its pattern-block tiles; a pool-less engine
+	// runs the single block [0, npat).
 	switch {
 	case cfg.Pool != nil:
 		e.pool = cfg.Pool
+		e.blocks = tile(e.npat, cfg.blockSize)
 	case cfg.Workers > 0:
 		e.pool = NewPool(cfg.Workers)
 		e.ownsPool = true
+		e.blocks = tile(e.npat, cfg.blockSize)
 	default:
 		e.arena = expm.NewArena(1)
+		e.blocks = tile(e.npat, e.npat)
 	}
 	e.siteLnL = make([]float64, e.npat)
 	e.vecScratch = make([]float64, n)
 
 	return e, nil
+}
+
+// tile partitions [0, npat) into blocks of size patterns; npat = 0
+// yields the one empty block.
+func tile(npat, size int) []blockRange {
+	blocks := []blockRange{{0, min(size, npat)}}
+	for lo := size; lo < npat; lo += size {
+		blocks = append(blocks, blockRange{lo: lo, hi: min(lo+size, npat)})
+	}
+	return blocks
 }
 
 // Close releases the engine-owned worker pool, if any. Engines using a
@@ -356,6 +364,7 @@ func (e *Engine) Close() {
 		e.ownsPool = false
 		e.pool = nil
 		e.arena = expm.NewArena(1)
+		e.blocks = tile(e.npat, e.npat)
 	}
 }
 
@@ -406,8 +415,8 @@ func (e *Engine) ensureBuffers(numClasses, numSlots int) {
 
 // runTasks executes task(worker, i) for every i in [0, n): on the
 // attached pool's worker-indexed executor when one is present, else
-// inline on the calling goroutine as worker 0 of the engine-owned
-// scratch arena.
+// inline on the calling goroutine, in index order, as worker 0 of the
+// engine-owned scratch arena.
 func (e *Engine) runTasks(n int, task func(worker, i int)) {
 	if e.pool != nil {
 		e.pool.Run(n, task)
@@ -418,6 +427,19 @@ func (e *Engine) runTasks(n int, task func(worker, i int)) {
 	}
 }
 
+// runBlocks executes task once per pattern block through runTasks,
+// each with its worker's scratch vector. A single block runs inline on
+// the engine's own scratch: dispatching one task would only hand the
+// whole range to another goroutine, and the caller holds no pool
+// worker's identity to borrow scratch under.
+func (e *Engine) runBlocks(task func(blk blockRange, scratch []float64)) {
+	if len(e.blocks) == 1 {
+		task(e.blocks[0], e.vecScratch)
+		return
+	}
+	e.runTasks(len(e.blocks), func(worker, bi int) { task(e.blocks[bi], e.vec(worker)) })
+}
+
 // workspace returns the expm scratch of the given worker ID, sized for
 // this engine's state space.
 func (e *Engine) workspace(worker int) *expm.Workspace {
@@ -425,6 +447,15 @@ func (e *Engine) workspace(worker int) *expm.Workspace {
 		return e.pool.Workspace(worker, e.n)
 	}
 	return e.arena.At(worker, e.n)
+}
+
+// vec returns the apply-mode scratch vector of the given worker ID,
+// of length n.
+func (e *Engine) vec(worker int) []float64 {
+	if e.pool != nil {
+		return e.pool.Vec(worker, e.n)
+	}
+	return e.vecScratch
 }
 
 // NumPatterns returns the number of compressed site patterns.
@@ -676,20 +707,13 @@ func (e *Engine) LogLikelihood() float64 {
 	}
 	e.refreshTransitions()
 	e.stats.FullEvaluations++
-	switch {
-	case e.pool != nil:
-		// Block-pool: one task per (class × pattern-block) tile, each
-		// using its worker's scratch vector.
-		nb := len(e.blocks)
-		e.pool.Run(e.numClasses*nb, func(worker, i int) {
-			blk := e.blocks[i%nb]
-			e.pruneClassRange(i/nb, blk.lo, blk.hi, e.pool.Vec(worker, e.n))
-		})
-	default:
-		for c := 0; c < e.numClasses; c++ {
-			e.pruneClassRange(c, 0, e.npat, e.vecScratch)
-		}
-	}
+	// One task per (class × pattern-block) tile, each using its
+	// worker's scratch vector.
+	nb := len(e.blocks)
+	e.runTasks(e.numClasses*nb, func(worker, i int) {
+		blk := e.blocks[i%nb]
+		e.pruneClassRange(i/nb, blk.lo, blk.hi, e.vec(worker))
+	})
 	partials := make([]*mat.Matrix, e.numClasses)
 	scales := make([][]float64, e.numClasses)
 	for c := 0; c < e.numClasses; c++ {
@@ -760,7 +784,7 @@ func (e *Engine) computePartial(c int, nd *nodeInfo, dst *mat.Matrix, dstScale [
 	for p := lo; p < hi; p++ {
 		row := dst.Row(p)
 		max := mat.VecMax(row)
-		if max > 0 && max < e.cfg.ScaleThreshold {
+		if max > 0 && max < e.cfg.scaleThreshold {
 			inv := 1 / max
 			for i := range row {
 				row[i] *= inv
@@ -842,18 +866,13 @@ func (e *Engine) applyBranch(tm *mat.Matrix, pb *blas.PackedB, partial, dst *mat
 
 // combineRoot folds the per-class root partials into the total
 // log-likelihood. Per-pattern contributions are computed (in parallel
-// over pattern blocks when a pool is attached) into siteLnL, then
-// summed by one serial in-order reduction — the deterministic
-// combination that keeps every execution strategy bit-identical.
+// over pattern blocks) into siteLnL, then summed by one serial
+// in-order reduction — the deterministic combination that keeps every
+// execution strategy bit-identical.
 func (e *Engine) combineRoot(partials []*mat.Matrix, scales [][]float64) float64 {
-	if e.pool != nil && len(e.blocks) > 1 {
-		e.pool.Run(len(e.blocks), func(_, bi int) {
-			blk := e.blocks[bi]
-			e.combineRootRange(partials, scales, blk.lo, blk.hi)
-		})
-	} else {
-		e.combineRootRange(partials, scales, 0, e.npat)
-	}
+	e.runBlocks(func(blk blockRange, _ []float64) {
+		e.combineRootRange(partials, scales, blk.lo, blk.hi)
+	})
 	total := 0.0
 	for _, v := range e.siteLnL {
 		total += v
@@ -909,14 +928,9 @@ func (e *Engine) BranchLogLikelihood(v int, t float64) float64 {
 	e.stats.BranchEvaluations++
 	e.buildTransition(v, t, e.scrTrans, e.scrTransPack)
 
-	if e.pool != nil && len(e.blocks) > 1 {
-		e.pool.Run(len(e.blocks), func(worker, bi int) {
-			blk := e.blocks[bi]
-			e.branchWalkRange(v, blk.lo, blk.hi, e.pool.Vec(worker, e.n))
-		})
-	} else {
-		e.branchWalkRange(v, 0, e.npat, e.vecScratch)
-	}
+	e.runBlocks(func(blk blockRange, scratch []float64) {
+		e.branchWalkRange(v, blk.lo, blk.hi, scratch)
+	})
 
 	rootPartials := make([]*mat.Matrix, e.numClasses)
 	rootScales := make([][]float64, e.numClasses)

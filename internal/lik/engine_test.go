@@ -228,7 +228,7 @@ func TestH1ReducesToH0(t *testing.T) {
 func TestScalingInvariance(t *testing.T) {
 	f := smallFixture(t, bsm.H1, h1Params())
 	base := f.engine(t, Config{}).LogLikelihood()
-	scaled := f.engine(t, Config{ScaleThreshold: 1e10}).LogLikelihood()
+	scaled := f.engine(t, Config{scaleThreshold: 1e10}).LogLikelihood()
 	if math.Abs(base-scaled) > 1e-8 {
 		t.Fatalf("scaling changed lnL: %0.12f vs %0.12f", base, scaled)
 	}

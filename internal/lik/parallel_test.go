@@ -38,7 +38,7 @@ func randomAlignment(t testing.TB, names []string, codons int, seed int64) []str
 }
 
 // parallelFixture is an 8-species fixture with ~50 codons, large
-// enough that a BlockSize of 8 yields multiple blocks per class.
+// enough that a blockSize of 8 yields multiple blocks per class.
 func parallelFixture(t testing.TB) *fixture {
 	names := []string{"A", "B", "C", "D", "E", "F", "G", "H"}
 	seqs := randomAlignment(t, names, 50, 7)
@@ -102,7 +102,7 @@ func TestBlockPoolBitIdenticalToSerial(t *testing.T) {
 			for _, workers := range workerCounts {
 				cfg := base
 				cfg.Workers = workers
-				cfg.BlockSize = 8 // force multiple blocks
+				cfg.blockSize = 8 // force multiple blocks
 				e, err := New(f.tree, f.pats, f.names, cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -127,7 +127,7 @@ func TestBlockSizeInvariance(t *testing.T) {
 	f := parallelFixture(t)
 	ref := math.NaN()
 	for _, bs := range []int{1, 3, 8, 1 << 20} {
-		cfg := Config{Apply: ApplyBundled, Workers: 3, BlockSize: bs}
+		cfg := Config{Apply: ApplyBundled, Workers: 3, blockSize: bs}
 		e := f.engine(t, cfg)
 		got := e.LogLikelihood()
 		e.Close()
@@ -136,7 +136,7 @@ func TestBlockSizeInvariance(t *testing.T) {
 			continue
 		}
 		if got != ref {
-			t.Fatalf("BlockSize=%d changed lnL: %0.17g != %0.17g", bs, got, ref)
+			t.Fatalf("blockSize=%d changed lnL: %0.17g != %0.17g", bs, got, ref)
 		}
 	}
 }
@@ -148,7 +148,7 @@ func TestBlockPoolBranchUpdate(t *testing.T) {
 	for _, apply := range []ApplyMode{ApplyPerSiteGEMV, ApplyPerSiteSYMV, ApplyBundled} {
 		serial := f.engine(t, Config{Apply: apply})
 		serial.LogLikelihood()
-		par := f.engine(t, Config{Apply: apply, Workers: 4, BlockSize: 8})
+		par := f.engine(t, Config{Apply: apply, Workers: 4, blockSize: 8})
 		par.LogLikelihood()
 		lens := serial.BranchLengths()
 		for _, v := range serial.BranchIDs() {
@@ -177,7 +177,7 @@ func TestSharedPoolConcurrentEngines(t *testing.T) {
 	got := make([]float64, engines)
 	var wg sync.WaitGroup
 	for i := 0; i < engines; i++ {
-		e := f.engine(t, Config{Pool: pool, BlockSize: 8})
+		e := f.engine(t, Config{Pool: pool, blockSize: 8})
 		wg.Add(1)
 		go func(i int, e *Engine) {
 			defer wg.Done()
@@ -199,7 +199,7 @@ func TestSharedPoolConcurrentEngines(t *testing.T) {
 func TestBlockPoolPosteriorsMatchSerial(t *testing.T) {
 	f := parallelFixture(t)
 	serial := f.engine(t, Config{})
-	par := f.engine(t, Config{Workers: 3, BlockSize: 8})
+	par := f.engine(t, Config{Workers: 3, blockSize: 8})
 	defer par.Close()
 	_, want := serial.LogLikelihoodAndPosteriors()
 	_, got := par.LogLikelihoodAndPosteriors()
@@ -327,7 +327,7 @@ func TestBlockPoolTinyAlignment(t *testing.T) {
 	f := smallFixture(t, bsm.H1, h1Params())
 	serial := f.engine(t, Config{})
 	want := serial.LogLikelihood()
-	e := f.engine(t, Config{Workers: 8, BlockSize: 1})
+	e := f.engine(t, Config{Workers: 8, blockSize: 1})
 	defer e.Close()
 	if got := e.LogLikelihood(); got != want {
 		t.Fatalf("tiny alignment: %0.17g != %0.17g", got, want)

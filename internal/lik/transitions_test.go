@@ -47,7 +47,7 @@ func TestPooledTransitionsBitIdentical(t *testing.T) {
 		for _, workers := range workerCountsUnderTest() {
 			cfg := base
 			cfg.Workers = workers
-			cfg.BlockSize = 8
+			cfg.blockSize = 8
 			e := f.engine(t, cfg)
 			e.LogLikelihood()
 			dirtyAll(e)
@@ -92,7 +92,7 @@ func TestSharedPoolConcurrentTransitionRefresh(t *testing.T) {
 	got := make([]float64, engines)
 	var wg sync.WaitGroup
 	for i := 0; i < engines; i++ {
-		e := f.engine(t, Config{Pool: pool, BlockSize: 8})
+		e := f.engine(t, Config{Pool: pool, blockSize: 8})
 		wg.Add(1)
 		go func(i int, e *Engine) {
 			defer wg.Done()
@@ -195,7 +195,7 @@ func TestPoolRunIndexesEveryTask(t *testing.T) {
 func TestEngineUsableAfterClose(t *testing.T) {
 	f := parallelFixture(t)
 	serial := f.engine(t, Config{})
-	e := f.engine(t, Config{Workers: 2, BlockSize: 8})
+	e := f.engine(t, Config{Workers: 2, blockSize: 8})
 	e.LogLikelihood()
 	e.Close()
 
@@ -296,8 +296,8 @@ func TestSharedPoolMixedStateSpaces(t *testing.T) {
 
 	pool := NewPool(2)
 	defer pool.Close()
-	e61 := build(codon.Universal, Config{Pool: pool, BlockSize: 8})
-	e60 := build(codon.VertebrateMt, Config{Pool: pool, BlockSize: 8})
+	e61 := build(codon.Universal, Config{Pool: pool, blockSize: 8})
+	e60 := build(codon.VertebrateMt, Config{Pool: pool, blockSize: 8})
 	var wg sync.WaitGroup
 	var got61, got60 float64
 	churnAndEval := func(e *Engine, got *float64) {

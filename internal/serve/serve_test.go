@@ -125,10 +125,18 @@ func getStatus(t *testing.T, base, id string) serve.Status {
 	return st
 }
 
-// pollUntil polls the job until pred holds, failing at the deadline.
+// pollUntil polls the job until pred holds, failing at the deadline:
+// the test binary's own -timeout less a tenth of the time left (so the
+// failure names the job and its progress rather than ending in the
+// timeout's goroutine dump), or three minutes when no timeout is set.
+// A fixed deadline flaked under -race on loaded runners while the job
+// was still progressing.
 func pollUntil(t *testing.T, base, id string, pred func(serve.Status) bool, what string) serve.Status {
 	t.Helper()
 	deadline := time.Now().Add(3 * time.Minute)
+	if d, ok := t.Deadline(); ok {
+		deadline = d.Add(-time.Until(d) / 10)
+	}
 	for {
 		st := getStatus(t, base, id)
 		if pred(st) {

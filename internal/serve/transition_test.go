@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -121,5 +122,67 @@ func TestRestartFromIndexAppendsNothing(t *testing.T) {
 	}
 	if !bytes.Equal(after, before) {
 		t.Errorf("restart rewrote the index:\n%s\nwant:\n%s", after, before)
+	}
+}
+
+// A job index whose middle line is complete but does not parse is
+// corrupt, not torn: opening it fails, so the daemon takes its
+// rebuild-from-a-directory-scan path (logged, naming the line) instead
+// of cutting the index at the bad line and silently dropping every
+// later record.
+func TestCorruptJobIndexRebuildsFromScan(t *testing.T) {
+	dataDir := t.TempDir()
+	idxPath := checkpoint.JobIndexPath(dataDir)
+	idx, err := checkpoint.OpenJobIndex(idxPath, jobSeq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"j000001", "j000002", "j000003"} {
+		if err := idx.Put(checkpoint.JobIndexRecord{ID: id, State: StateDone, Total: 20, Done: 20}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := idx.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(idxPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := bytes.Replace(data, []byte(`"j000002","state":"done","total":20`), []byte(`"j000002","state":"done","total":2X`), 1)
+	if bytes.Equal(bad, data) {
+		t.Fatalf("second record not found in:\n%s", data)
+	}
+	if err := os.WriteFile(idxPath, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var logBuf bytes.Buffer
+	logger, err := obs.NewLogger(&logBuf, "json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{DataDir: dataDir, PoolWorkers: 1, Log: logger})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown(context.Background())
+	rebuilt := false
+	for _, line := range strings.Split(logBuf.String(), "\n") {
+		var rec map[string]any
+		if json.Unmarshal([]byte(line), &rec) != nil {
+			continue
+		}
+		if rec["msg"] == "job index unreadable; rebuilding from a directory scan" &&
+			strings.Contains(fmt.Sprint(rec["error"]), "line 3") {
+			rebuilt = true
+		}
+	}
+	if !rebuilt {
+		t.Fatalf("corrupt index not rebuilt from a directory scan:\n%s", logBuf.String())
+	}
+	// The scan finds no job files, so the rebuilt index holds no jobs.
+	if recs := s.idx.Records(); len(recs) != 0 {
+		t.Errorf("rebuilt index records = %+v, want none", recs)
 	}
 }
