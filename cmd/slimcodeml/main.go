@@ -74,7 +74,6 @@ func main() {
 		resume    = flag.Bool("resume", false, "batch modes (JSONL -out): checkpoint every gene to <out>.ckpt and continue a killed run from its last checkpoint; rerun the identical command to resume")
 		countCach = flag.String("countcache", "", "batch modes: sidecar codon-count cache file for the -sharefreq pre-pass (warm cache = metadata-only pass)")
 		cacheDir  = flag.String("cachedir", "", "batch modes: cross-run warm cache directory — re-runs of already-analyzed rows replay byte-identically with zero fitting")
-		warmStart = flag.Bool("warmstart", false, "batch modes (with -cachedir): seed optimizers from the cache's last MLE when a gene's inputs match but options differ (relaxes bit-determinism)")
 		outPath   = flag.String("out", "", "batch modes: results file (.jsonl or .tsv; empty = TSV on stdout)")
 		outFmt    = flag.String("outfmt", "auto", "batch output format: jsonl, tsv or auto (by -out extension)")
 		prefetch  = flag.Int("prefetch", 0, "batch modes: max genes resident at once (0 = 2×jobs)")
@@ -125,7 +124,7 @@ func main() {
 			format: *format, opts: opts, jobs: *jobs, workers: *workers, prefetch: *prefetch,
 			shareFreq: *shareFreq, shard: *shard, outPath: *outPath,
 			outFmt: *outFmt, resume: *resume, countCache: *countCach,
-			cacheDir: *cacheDir, warmStart: *warmStart,
+			cacheDir: *cacheDir,
 		})
 	default:
 		if *shard != "" {
@@ -155,7 +154,6 @@ type streamConfig struct {
 	resume                    bool
 	countCache                string
 	cacheDir                  string
-	warmStart                 bool
 }
 
 // runStream drives every batch mode: genes stream through
@@ -198,8 +196,6 @@ func runStream(cfg streamConfig) error {
 		if store, err = persistcache.Open(cfg.cacheDir); err != nil {
 			return err
 		}
-	} else if cfg.warmStart {
-		return fmt.Errorf("-warmstart needs -cachedir (the seeds live in the warm cache)")
 	}
 
 	// Ctrl-C / SIGTERM cancel the stream at a gene boundary instead of
@@ -219,7 +215,6 @@ func runStream(cfg streamConfig) error {
 	if store != nil {
 		sopts.Persist = store
 		sopts.PersistFingerprint = checkpoint.OptionsFingerprint(sopts.BatchOptions, afmt)
-		sopts.WarmStart = cfg.warmStart
 	}
 	status := io.Writer(os.Stderr)
 	if cfg.outPath != "" {

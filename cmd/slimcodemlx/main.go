@@ -84,7 +84,6 @@ func main() {
 		m0start     = flag.Bool("m0start", false, "initialize branch lengths from an M0 pre-fit")
 		shareFreq   = flag.Bool("sharefreq", false, "pool codon frequencies over the whole manifest in a coordinator pre-pass and pin every shard's job to them")
 		countCache  = flag.String("countcache", "", "codon-count cache file the -sharefreq pre-pass consults and updates")
-		warmStart   = flag.Bool("warmstart", false, "hint daemons to seed optimizers from their warm cache's last MLE when a gene's inputs match (relaxes bit-determinism; needs daemons with -cachedir)")
 		jobs        = flag.Int("jobs", 0, "genes fitted concurrently within each daemon job (0 = daemon's GOMAXPROCS)")
 		prefetch    = flag.Int("prefetch", 0, "genes resident at once within each daemon job (0 = 2×jobs)")
 		quiet       = flag.Bool("quiet", false, "suppress the progress event log")
@@ -163,7 +162,6 @@ func main() {
 			Seed:             *seed,
 			M0Start:          *m0start,
 			ShareFrequencies: *shareFreq,
-			WarmStart:        *warmStart,
 			Concurrency:      *jobs,
 			Prefetch:         *prefetch,
 		},

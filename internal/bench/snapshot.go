@@ -146,7 +146,7 @@ func RecordSnapshot(workerCounts []int, species []int, evals int) (*Snapshot, er
 		snap.TransitionRefresh = append(snap.TransitionRefresh, ref)
 	}
 
-	ws, err := RunWarmSweep(8, 6, 48, 3)
+	ws, err := RunReplaySweep(8, 6, 48, 3)
 	if err != nil {
 		return nil, err
 	}

@@ -45,12 +45,12 @@ func (r *WarmSweepResult) Speedup() float64 {
 	return float64(r.Cold) / float64(r.Warm)
 }
 
-// RunWarmSweep simulates a manifest of small genes, runs it cold
+// RunReplaySweep simulates a manifest of small genes, runs it cold
 // through core.RunBatchStream with a fresh persistent cache, then runs
 // it again warm. It errors if the warm run's output is not
 // byte-identical to the cold run's or if any gene escaped replay — the
 // recorded speedup is only meaningful if the warm run did zero fitting.
-func RunWarmSweep(genes, species, sites, maxIter int) (*WarmSweepResult, error) {
+func RunReplaySweep(genes, species, sites, maxIter int) (*WarmSweepResult, error) {
 	dir, err := os.MkdirTemp("", "warmsweep")
 	if err != nil {
 		return nil, err

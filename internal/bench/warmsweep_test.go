@@ -3,13 +3,13 @@ package bench
 import "testing"
 
 // The warm sweep's own invariants: full replay, zero warm
-// eigendecompositions, and a positive speedup — RunWarmSweep errors on
+// eigendecompositions, and a positive speedup — RunReplaySweep errors on
 // any divergence, so success plus these fields is the whole contract.
 func TestRunWarmSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("warm sweep runs real fits")
 	}
-	r, err := RunWarmSweep(3, 4, 24, 1)
+	r, err := RunReplaySweep(3, 4, 24, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

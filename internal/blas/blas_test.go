@@ -75,16 +75,11 @@ func TestDaxpy(t *testing.T) {
 	}
 }
 
-func TestDscalDcopy(t *testing.T) {
+func TestDscal(t *testing.T) {
 	x := []float64{1, 2}
 	Dscal(3, x)
 	if !mat.VecEqualApprox(x, []float64{3, 6}, 0) {
 		t.Fatalf("Dscal: %v", x)
-	}
-	y := make([]float64, 2)
-	Dcopy(x, y)
-	if !mat.VecEqualApprox(y, x, 0) {
-		t.Fatalf("Dcopy: %v", y)
 	}
 }
 
@@ -104,18 +99,6 @@ func TestDnrm2(t *testing.T) {
 	}
 	if Dnrm2(nil) != 0 {
 		t.Fatal("empty Dnrm2 should be 0")
-	}
-}
-
-func TestDasumIdamax(t *testing.T) {
-	if Dasum([]float64{-1, 2, -3}) != 6 {
-		t.Fatal("Dasum wrong")
-	}
-	if Idamax([]float64{-1, 5, -7, 7}) != 2 {
-		t.Fatal("Idamax should return first maximal index")
-	}
-	if Idamax(nil) != -1 {
-		t.Fatal("Idamax of empty should be -1")
 	}
 }
 
@@ -191,15 +174,6 @@ func TestDsymvReadsUpperTriangleOnly(t *testing.T) {
 	Dsymv(1, a, x, 0, got)
 	if !mat.VecEqualApprox(got, want, 0) {
 		t.Fatal("Dsymv read the lower triangle")
-	}
-}
-
-func TestDger(t *testing.T) {
-	a := mat.New(2, 3)
-	Dger(2, []float64{1, 2}, []float64{3, 4, 5}, a)
-	want := mat.NewFromSlice(2, 3, []float64{6, 8, 10, 12, 16, 20})
-	if !a.EqualApprox(want, 1e-14) {
-		t.Fatalf("Dger: %v", a)
 	}
 }
 

@@ -59,14 +59,6 @@ func Dscal(alpha float64, x []float64) {
 	}
 }
 
-// Dcopy copies x into y.
-func Dcopy(x, y []float64) {
-	if len(x) != len(y) {
-		panic("blas: Dcopy length mismatch")
-	}
-	copy(y, x)
-}
-
 // Dnrm2 returns the Euclidean norm of x using scaled accumulation to
 // avoid overflow and underflow, following the reference dnrm2.
 func Dnrm2(x []float64) float64 {
@@ -86,29 +78,4 @@ func Dnrm2(x []float64) float64 {
 		}
 	}
 	return scale * math.Sqrt(ssq)
-}
-
-// Dasum returns Σ|x_i|.
-func Dasum(x []float64) float64 {
-	s := 0.0
-	for _, v := range x {
-		s += math.Abs(v)
-	}
-	return s
-}
-
-// Idamax returns the index of the element with the largest absolute
-// value, or -1 for an empty vector. Ties resolve to the first index,
-// as in the reference BLAS.
-func Idamax(x []float64) int {
-	if len(x) == 0 {
-		return -1
-	}
-	best, idx := math.Abs(x[0]), 0
-	for i := 1; i < len(x); i++ {
-		if a := math.Abs(x[i]); a > best {
-			best, idx = a, i
-		}
-	}
-	return idx
 }

@@ -73,16 +73,3 @@ func Dsymv(alpha float64, a *mat.Matrix, x []float64, beta float64, y []float64)
 		y[i] += alpha * sum
 	}
 }
-
-// Dger computes the rank-1 update A ← αxyᵀ + A.
-func Dger(alpha float64, x, y []float64, a *mat.Matrix) {
-	if len(x) != a.Rows || len(y) != a.Cols {
-		panic("blas: Dger dimension mismatch")
-	}
-	if alpha == 0 {
-		return
-	}
-	for i := 0; i < a.Rows; i++ {
-		Daxpy(alpha*x[i], y, a.Row(i))
-	}
-}

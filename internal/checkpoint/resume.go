@@ -91,18 +91,9 @@ func OptionsFingerprint(opts core.BatchOptions, format align.Format) string {
 func FrequenciesDigest(pi []float64) string { return core.FrequenciesDigest(pi) }
 
 // RunFingerprint is the fingerprint a checkpointed run's ledger
-// records: the options fingerprint, plus a warm-start marker when the
-// run opted into persistent-store warm starts. Warm starts relax the
-// determinism contract (a different starting point may change final
-// bits), so a warm run must never resume a cold run's ledger or vice
-// versa; the marker is appended only when set, keeping every existing
-// ledger's fingerprint unchanged.
+// records: the options fingerprint of the stream's batch options.
 func RunFingerprint(opts core.StreamOptions, format align.Format) string {
-	fp := OptionsFingerprint(opts.BatchOptions, format)
-	if opts.WarmStart {
-		fp += " warmstart=true"
-	}
-	return fp
+	return OptionsFingerprint(opts.BatchOptions, format)
 }
 
 // skipper is the fast path Resume uses when the wrapped source can
@@ -170,9 +161,9 @@ func (r *resumedSource) Reset() error {
 // AttachPersist forwards the persistent result store to the underlying
 // source (a no-op for sources that do not support one), so a resumed
 // run's remaining genes still replay from / store into the cache.
-func (r *resumedSource) AttachPersist(store *persistcache.Store, fingerprint string, warm bool) {
+func (r *resumedSource) AttachPersist(store *persistcache.Store, fingerprint string, _ bool) {
 	if pa, ok := r.src.(core.PersistAttacher); ok {
-		pa.AttachPersist(store, fingerprint, warm)
+		pa.AttachPersist(store, fingerprint, false)
 	}
 }
 

@@ -52,11 +52,11 @@ func Run(ctx context.Context, cfg RunConfig) (*core.StreamSummary, error) {
 		return nil, fmt.Errorf("checkpoint: Run needs at least one manifest row")
 	}
 	fp := RunFingerprint(cfg.Opts, cfg.Format)
-	// A persistent result store keys on the base options fingerprint;
-	// RunBatchStream appends the resolved π digest and the warm-start
-	// marker itself, so the store and the ledger agree on identity.
+	// A persistent result store keys on the ledger's fingerprint;
+	// RunBatchStream appends the resolved π digest itself, so the store
+	// and the ledger agree on identity.
 	if cfg.Opts.Persist != nil && cfg.Opts.PersistFingerprint == "" {
-		cfg.Opts.PersistFingerprint = OptionsFingerprint(cfg.Opts.BatchOptions, cfg.Format)
+		cfg.Opts.PersistFingerprint = fp
 	}
 	ledgerPath := LedgerPath(cfg.OutPath)
 

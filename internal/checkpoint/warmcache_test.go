@@ -230,58 +230,6 @@ func TestWarmCacheKillResume(t *testing.T) {
 	}
 }
 
-// TestWarmStartSeeds checks the opt-in relaxation: WarmStart runs key
-// their ledger and result entries apart from cold runs (no cross
-// replay), and a warm-start run over cached rows pulls one seed per
-// gene from the store.
-func TestWarmStartSeeds(t *testing.T) {
-	entries := simManifest(t, 4)
-	opts, store := warmOpts(t, false)
-
-	out1 := filepath.Join(t.TempDir(), "cold.jsonl")
-	if _, err := Run(context.Background(), RunConfig{Entries: entries, OutPath: out1, Opts: opts}); err != nil {
-		t.Fatal(err)
-	}
-
-	wopts := opts
-	wopts.WarmStart = true
-	out2 := filepath.Join(t.TempDir(), "warmstart.jsonl")
-	sum, err := Run(context.Background(), RunConfig{Entries: entries, OutPath: out2, Opts: wopts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The warm-start fingerprint differs from the cold one, so nothing
-	// replays — every gene refits, seeded from the cold run's MLEs.
-	if sum.Replayed != 0 {
-		t.Fatalf("warm-start run replayed %d cold entries", sum.Replayed)
-	}
-	if c := store.Counters(); c.WarmHits != len(entries) {
-		t.Fatalf("warm-start run pulled %d seeds, want %d", c.WarmHits, len(entries))
-	}
-
-	// A second warm-start run with identical options replays the
-	// warm-start entries — same relaxation, same fingerprint.
-	out3 := filepath.Join(t.TempDir(), "warmstart2.jsonl")
-	sum2, err := Run(context.Background(), RunConfig{Entries: entries, OutPath: out3, Opts: wopts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum2.Replayed != len(entries) {
-		t.Fatalf("second warm-start run replayed %d genes, want %d", sum2.Replayed, len(entries))
-	}
-	want, err := os.ReadFile(out2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(out3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("warm-start replay is not byte-identical to the warm-start run")
-	}
-}
-
 // TestWarmCacheSharedFrequencies pins the fingerprint unification: a
 // -sharefreq checkpointed run (π derived, fingerprint completed inside
 // the stream) must replay against its own cache on a second run.

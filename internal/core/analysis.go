@@ -269,66 +269,17 @@ type TestResult struct {
 
 // Run executes the full test: fit H0, fit H1, LRT, and NEB site
 // posteriors — CodeML's workflow for one gene/branch.
-func (an *Analysis) Run() (*TestResult, error) { return an.run(nil, nil) }
-
-// RunWarm executes the full test seeding the H0 fit from a previous
-// run's MLE — parameters plus branch lengths (indexed by node ID) —
-// instead of the cold seeded start, skipping any M0 pre-fit. This is
-// the opt-in warm-start relaxation of the determinism contract: a
-// different starting point may change the final bits. A seed that is
-// not usable (wrong length, non-finite or out-of-domain values) falls
-// back to the cold path silently — a stale cache entry must never turn
-// into a failed gene.
-func (an *Analysis) RunWarm(seed bsm.Params, seedLens []float64) (*TestResult, error) {
-	if !an.seedOK(seed, seedLens) {
-		return an.run(nil, nil)
-	}
-	return an.run(&seed, seedLens)
-}
-
-// seedOK screens a warm-start seed: FitFrom clamps boundary values
-// itself, so only the defects clamping cannot repair (non-finite
-// values, a branch vector from a different tree shape) are rejected.
-func (an *Analysis) seedOK(p bsm.Params, lens []float64) bool {
-	for _, v := range []float64{p.Kappa, p.Omega0, p.Omega2, p.P0, p.P1} {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
-		}
-	}
-	if p.Kappa <= 0 || p.Omega0 <= 0 || p.Omega0 >= 1 || p.Omega2 < 0 {
-		return false
-	}
-	if p.P0 <= 0 || p.P1 <= 0 || p.P0+p.P1 >= 1 {
-		return false
-	}
-	if len(lens) != len(an.tree.BranchLengths()) {
-		return false
-	}
-	for _, t := range lens {
-		if math.IsNaN(t) || math.IsInf(t, 0) || t < 0 {
-			return false
-		}
-	}
-	return true
-}
-
-func (an *Analysis) run(seed *bsm.Params, seedLens []float64) (*TestResult, error) {
+func (an *Analysis) Run() (*TestResult, error) {
 	start := time.Now()
-	var h0 *FitResult
-	var err error
-	if seed != nil {
-		h0, err = an.FitFrom(bsm.H0, *seed, seedLens)
-	} else {
-		startLens := an.tree.BranchLengths()
-		if an.opts.M0Start {
-			m0, err := an.FitM0()
-			if err != nil {
-				return nil, err
-			}
-			startLens = m0.BranchLengths
+	startLens := an.tree.BranchLengths()
+	if an.opts.M0Start {
+		m0, err := an.FitM0()
+		if err != nil {
+			return nil, err
 		}
-		h0, err = an.FitFrom(bsm.H0, an.initialParams(bsm.H0), startLens)
+		startLens = m0.BranchLengths
 	}
+	h0, err := an.FitFrom(bsm.H0, an.initialParams(bsm.H0), startLens)
 	if err != nil {
 		return nil, err
 	}

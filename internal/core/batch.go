@@ -31,11 +31,10 @@ type Gene struct {
 	loadErr error
 
 	// Persistent-store state attached by ManifestSource (nil/zero
-	// elsewhere): a replayed record that makes the fit a no-op, a
-	// warm-start seed, and the identity (manifest row digest + input
-	// file metadata) a fresh fit is stored back under.
+	// elsewhere): a replayed record that makes the fit a no-op, and the
+	// identity (manifest row digest + input file metadata) a fresh fit
+	// is stored back under.
 	replay    *GeneRecord
-	seed      *persistcache.WarmSeed
 	rowDigest string
 	fmeta     persistcache.FileMeta
 	haveMeta  bool

@@ -235,11 +235,10 @@ type Options struct {
 	decomps *lik.DecompCache
 
 	// Cross-run persistence, injected by RunBatchStream (see
-	// StreamOptions.Persist): the store, the finalized fingerprint
-	// results are keyed under, and whether warm starts were opted into.
+	// StreamOptions.Persist): the store and the finalized fingerprint
+	// results are keyed under.
 	persist   *persistcache.Store
 	persistFP string
-	warmStart bool
 }
 
 func (o *Options) fill() {

@@ -35,11 +35,10 @@ type ManifestSource struct {
 
 	// Cross-run result store, attached by RunBatchStream (see
 	// AttachPersist): already-analyzed rows are yielded as replay
-	// genes, warm-start seeds are attached when opted into, and fresh
-	// genes carry the identity fits are stored back under.
+	// genes, and fresh genes carry the identity fits are stored back
+	// under.
 	persist   *persistcache.Store
 	persistFP string
-	warm      bool
 }
 
 // NewManifestSource returns a source over the entries, reading
@@ -58,12 +57,11 @@ func (s *ManifestSource) WithCountCache(c *manifest.CountCache) *ManifestSource 
 
 // AttachPersist implements PersistAttacher: subsequent Next calls
 // consult the store for replayable results (fingerprint + file
-// metadata match) and — when warm is set — warm-start seeds, and
-// attach the row identity fresh fits are stored back under.
-func (s *ManifestSource) AttachPersist(store *persistcache.Store, fingerprint string, warm bool) {
+// metadata match) and attach the row identity fresh fits are stored
+// back under. The warm argument is ignored (see PersistAttacher).
+func (s *ManifestSource) AttachPersist(store *persistcache.Store, fingerprint string, _ bool) {
 	s.persist = store
 	s.persistFP = fingerprint
-	s.warm = warm
 }
 
 // Len returns the number of genes the source will yield.
@@ -120,11 +118,6 @@ func (s *ManifestSource) Next() (*Gene, error) {
 		g.rowDigest = row
 		g.fmeta = fmeta
 		g.haveMeta = true
-		if s.warm {
-			if seed, ok := s.persist.LookupSeed(g.rowDigest, fmeta); ok {
-				g.seed = seed
-			}
-		}
 	}
 	return g, nil
 }

@@ -16,7 +16,6 @@ type streamMetrics struct {
 	fitSeconds *obs.Histogram
 	genes      *obs.CounterVec // result: ok | error
 	replayed   *obs.Counter
-	warmSeeded *obs.Counter
 	window     *obs.Gauge
 	windowCap  *obs.Gauge
 	inflight   *obs.Gauge
@@ -34,8 +33,6 @@ func newStreamMetrics(r *obs.Registry, prefetch int) *streamMetrics {
 			"Gene results delivered to the sink, by outcome.", "result"),
 		replayed: r.Counter("slimcodeml_stream_replayed_total",
 			"Genes delivered from the persistent result store without fitting."),
-		warmSeeded: r.Counter("slimcodeml_stream_warmstart_seeded_total",
-			"Gene fits whose optimizer was seeded from a cached MLE."),
 		window: r.Gauge("slimcodeml_stream_prefetch_occupancy",
 			"Genes currently resident in the prefetch window (loaded, fitting, or awaiting in-order delivery)."),
 		windowCap: r.Gauge("slimcodeml_stream_prefetch_limit",
@@ -48,11 +45,8 @@ func newStreamMetrics(r *obs.Registry, prefetch int) *streamMetrics {
 }
 
 // observeFit records one completed (non-replayed) fit.
-func (m *streamMetrics) observeFit(d time.Duration, warmSeeded bool) {
+func (m *streamMetrics) observeFit(d time.Duration) {
 	m.fitSeconds.Observe(d.Seconds())
-	if warmSeeded {
-		m.warmSeeded.Inc()
-	}
 }
 
 // observeDelivery records one result reaching the sink.

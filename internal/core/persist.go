@@ -29,16 +29,18 @@ func FrequenciesDigest(pi []float64) string {
 // checkpoint package's resume wrapper forwards it). RunBatchStream
 // attaches the store after resolving shared frequencies, so the
 // fingerprint the source keys lookups on always carries the resolved
-// π digest.
+// π digest. The warm argument is ignored: RunBatchStream always passes
+// false, and the parameter stays only so existing implementations of
+// this signature keep compiling.
 type PersistAttacher interface {
 	AttachPersist(store *persistcache.Store, fingerprint string, warm bool)
 }
 
 // storeResult persists one successfully fitted gene into the result
 // store: the deterministic JSONL projection (runtime zeroed, exactly
-// the bytes a checkpoint sink writes) for exact replay, and the H1 MLE
-// as a warm-start seed. Best effort — a failed write costs warmth on
-// the next run, never correctness of this one.
+// the bytes a checkpoint sink writes) for exact replay. Best effort — a
+// failed write costs a refit on the next run, never correctness of this
+// one.
 func storeResult(opts *Options, g *Gene, res GeneResult) {
 	rec := NewGeneRecord(res)
 	rec.RuntimeSec = 0 // deterministic projection, as the checkpoint sink writes it
@@ -46,16 +48,10 @@ func storeResult(opts *Options, g *Gene, res GeneResult) {
 	if err != nil {
 		return
 	}
-	h1 := res.Result.H1
 	_ = opts.persist.PutResult(persistcache.ResultEntry{
 		Row:         g.rowDigest,
 		Fingerprint: opts.persistFP,
 		Meta:        g.fmeta,
 		Record:      b,
-		Seed: persistcache.WarmSeed{
-			Kappa: h1.Params.Kappa, Omega0: h1.Params.Omega0, Omega2: h1.Params.Omega2,
-			P0: h1.Params.P0, P1: h1.Params.P1,
-			BranchLengths: h1.BranchLengths,
-		},
 	})
 }

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/bsm"
 	"repro/internal/codon"
 	"repro/internal/lik"
 	"repro/internal/obs"
@@ -114,21 +113,13 @@ type StreamOptions struct {
 	Persist *persistcache.Store
 	// PersistFingerprint is the options fingerprint store entries are
 	// keyed under — checkpoint.OptionsFingerprint of this run's options.
-	// The stream appends the resolved π digest (and the warm-start
-	// marker) itself, so callers pass the base fingerprint whether or
-	// not shared frequencies are in play.
+	// The stream appends the resolved π digest itself, so callers pass
+	// the base fingerprint whether or not shared frequencies are in
+	// play.
 	PersistFingerprint string
-	// WarmStart opts into seeding the optimizer from a stored MLE when
-	// only the gene's row digest and input files match (the options
-	// fingerprint does not). This is the one documented relaxation of
-	// the determinism contract: a different starting point may change
-	// the final bits. Replays and stores are keyed under a fingerprint
-	// carrying a warm-start marker, so warm and cold runs never replay
-	// each other's records.
-	WarmStart bool
 	// Metrics, when non-nil, receives the stream's instrumentation:
 	// per-gene fit-latency histograms, prefetch-window occupancy, and
-	// delivery/replay/warm-start counters (the slimcodeml_stream_*
+	// delivery/replay counters (the slimcodeml_stream_*
 	// series). nil costs nothing — and either way instrumentation only
 	// observes, so output bytes are identical with and without it
 	// (TestStreamMetricsParity).
@@ -218,25 +209,21 @@ func RunBatchStream(ctx context.Context, src GeneSource, sink ResultSink, opts S
 	}
 
 	// With a persistent store attached, finalize the fingerprint results
-	// are keyed under — base options plus the resolved π digest plus the
-	// warm-start marker — and hand the store to the source (replay +
-	// seed lookups) and the per-gene options (storing fits back). The π
-	// component is appended here, after resolution, so checkpointed and
-	// standalone shared-frequency runs key identically; fan-out shards
-	// arrive with π preset and the component already in the base.
+	// are keyed under — base options plus the resolved π digest — and
+	// hand the store to the source (replay lookups) and the per-gene
+	// options (storing fits back). The π component is appended here,
+	// after resolution, so checkpointed and standalone shared-frequency
+	// runs key identically; fan-out shards arrive with π preset and the
+	// component already in the base.
 	if opts.Persist != nil {
 		fp := opts.PersistFingerprint
 		if geneOpts.Frequencies != nil && !strings.Contains(fp, " pi=") {
 			fp += " pi=" + FrequenciesDigest(geneOpts.Frequencies)
 		}
-		if opts.WarmStart && !strings.Contains(fp, " warmstart=true") {
-			fp += " warmstart=true"
-		}
 		geneOpts.persist = opts.Persist
 		geneOpts.persistFP = fp
-		geneOpts.warmStart = opts.WarmStart
 		if pa, ok := src.(PersistAttacher); ok {
-			pa.AttachPersist(opts.Persist, fp, opts.WarmStart)
+			pa.AttachPersist(opts.Persist, fp, false)
 		}
 	}
 
@@ -306,7 +293,7 @@ func RunBatchStream(ctx context.Context, src GeneSource, sink ResultSink, opts S
 				met.inflight.Inc()
 				t0 := time.Now()
 				res := runGene(it.gene, geneOpts)
-				met.observeFit(time.Since(t0), geneOpts.warmStart && it.gene.seed != nil)
+				met.observeFit(time.Since(t0))
 				met.inflight.Dec()
 				results <- delivered{seq: it.seq, res: res}
 			}
@@ -379,9 +366,8 @@ func RunBatchStream(ctx context.Context, src GeneSource, sink ResultSink, opts S
 // cached encode+compress product when present. A gene carrying a
 // replayed record from the persistent store skips the fit entirely —
 // the record is the byte-identical product of an earlier run under the
-// same fingerprint and input files. A gene carrying a warm-start seed
-// fits from the stored MLE; a successful fit with a store attached is
-// persisted back.
+// same fingerprint and input files. A successful fit with a store
+// attached is persisted back.
 func runGene(g *Gene, opts Options) GeneResult {
 	if g.replay != nil {
 		return GeneResult{Name: g.Name, Rec: g.replay}
@@ -393,15 +379,7 @@ func runGene(g *Gene, opts Options) GeneResult {
 		return res
 	}
 	defer an.Close()
-	var r *TestResult
-	if opts.warmStart && g.seed != nil {
-		r, err = an.RunWarm(bsm.Params{
-			Kappa: g.seed.Kappa, Omega0: g.seed.Omega0, Omega2: g.seed.Omega2,
-			P0: g.seed.P0, P1: g.seed.P1,
-		}, g.seed.BranchLengths)
-	} else {
-		r, err = an.Run()
-	}
+	r, err := an.Run()
 	if err != nil {
 		res.Err = fmt.Errorf("gene %s: %w", g.Name, err)
 		return res

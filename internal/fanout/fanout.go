@@ -214,16 +214,8 @@ type Summary struct {
 // own because it is a pure function of the manifest digest and the
 // frequency estimator, both already covered.
 func Fingerprint(spec serve.JobSpec) string {
-	fp := fmt.Sprintf("engine=%s freq=%s maxiter=%d seed=%d m0start=%t sharefreq=%t",
+	return fmt.Sprintf("engine=%s freq=%s maxiter=%d seed=%d m0start=%t sharefreq=%t",
 		spec.Engine, spec.Freq, spec.MaxIter, spec.Seed, spec.M0Start, spec.ShareFrequencies)
-	// Warm-started runs relax the determinism contract (daemons may
-	// seed optimizers from cached MLEs), so their shard ledgers must
-	// never be resumed by — or resume — a cold run. Appended only when
-	// set, keeping every existing ledger's fingerprint unchanged.
-	if spec.WarmStart {
-		fp += " warmstart=true"
-	}
-	return fp
 }
 
 // shard phases. A shard advances pending → submitted → jobDone, and is

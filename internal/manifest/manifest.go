@@ -120,9 +120,17 @@ func Load(path string) ([]Entry, error) {
 	return entries, nil
 }
 
-// Verify checks that every entry's alignment and tree files exist and
-// are not directories.
+// Verify checks that no two entries share a gene name (results are
+// keyed by name) and that every entry's alignment and tree files exist
+// and are not directories.
 func Verify(entries []Entry) error {
+	seen := make(map[string]bool, len(entries))
+	for i, e := range entries {
+		if seen[e.Name] {
+			return fmt.Errorf("manifest: row %d: duplicate gene name %q", i+1, e.Name)
+		}
+		seen[e.Name] = true
+	}
 	for _, e := range entries {
 		for _, p := range [2]string{e.AlignPath, e.TreePath} {
 			info, err := os.Stat(p)

@@ -110,6 +110,33 @@ func TestLoadBadPath(t *testing.T) {
 	}
 }
 
+// Verify refuses two entries with one gene name, however the list was
+// built: a comma-separated alignment list names each gene by its base
+// name, so g1.fasta and sub/g1.fasta would otherwise become two
+// indistinguishable g1 result rows.
+func TestVerifyDuplicateName(t *testing.T) {
+	dir := writeScanDir(t)
+	if err := os.Mkdir(filepath.Join(dir, "sub"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "sub", "g1.fasta"), []byte("x\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tree := filepath.Join(dir, "g1.nwk")
+	entries := []Entry{
+		{Name: "g1", AlignPath: filepath.Join(dir, "g1.fasta"), TreePath: tree},
+		{Name: "g2", AlignPath: filepath.Join(dir, "g2.phy"), TreePath: tree},
+		{Name: "g1", AlignPath: filepath.Join(dir, "sub", "g1.fasta"), TreePath: tree},
+	}
+	if err := Verify(entries[:2]); err != nil {
+		t.Fatalf("distinct names refused: %v", err)
+	}
+	err := Verify(entries)
+	if err == nil || !strings.Contains(err.Error(), `row 3: duplicate gene name "g1"`) {
+		t.Fatalf("Verify = %v, want row 3 refused as a duplicate of g1", err)
+	}
+}
+
 func TestWriteLoadRoundTrip(t *testing.T) {
 	dir := writeScanDir(t)
 	entries := []Entry{

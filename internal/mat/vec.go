@@ -16,37 +16,6 @@ func VecClone(v []float64) []float64 {
 	return out
 }
 
-// VecAdd stores a+b in dst. All three must have equal length.
-func VecAdd(dst, a, b []float64) {
-	checkLen3(dst, a, b)
-	for i := range dst {
-		dst[i] = a[i] + b[i]
-	}
-}
-
-// VecSub stores a-b in dst. All three must have equal length.
-func VecSub(dst, a, b []float64) {
-	checkLen3(dst, a, b)
-	for i := range dst {
-		dst[i] = a[i] - b[i]
-	}
-}
-
-// VecMul stores the element-wise product a*b in dst.
-func VecMul(dst, a, b []float64) {
-	checkLen3(dst, a, b)
-	for i := range dst {
-		dst[i] = a[i] * b[i]
-	}
-}
-
-// VecScale multiplies v by s in place.
-func VecScale(v []float64, s float64) {
-	for i := range v {
-		v[i] *= s
-	}
-}
-
 // VecSum returns Σ v_i.
 func VecSum(v []float64) float64 {
 	s := 0.0
@@ -103,10 +72,4 @@ func Normalize(v []float64) float64 {
 		v[i] *= inv
 	}
 	return s
-}
-
-func checkLen3(a, b, c []float64) {
-	if len(a) != len(b) || len(b) != len(c) {
-		panic(fmt.Sprintf("mat: mismatched vector lengths %d, %d, %d", len(a), len(b), len(c)))
-	}
 }

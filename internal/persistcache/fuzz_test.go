@@ -12,17 +12,15 @@ import "testing"
 // testdata/fuzz/FuzzCacheDecode seeds the interesting shapes.
 func FuzzCacheDecode(f *testing.F) {
 	// Seed with well-formed entries so the fuzzer mutates from valid
-	// structure (one with file metadata and no branch lengths, the
-	// shortest seed payload), plus classic defect shapes.
+	// structure (one without and one with file metadata), plus classic
+	// defect shapes.
 	for _, e := range []ResultEntry{{
 		Row: "bb", Fingerprint: "engine=slim",
 		Record: []byte(`{"name":"g"}`),
-		Seed:   WarmSeed{Kappa: 2, Omega0: 0.1, Omega2: 3, P0: 0.5, P1: 0.3, BranchLengths: []float64{0.1}},
 	}, {
 		Row: "cc", Fingerprint: "engine=slim-bundled pi=ab",
 		Meta:   FileMeta{AlignSize: 1, AlignMTimeNS: 2, TreeSize: 3, TreeMTimeNS: 4},
 		Record: []byte(`{"name":"h","lnl_h1":-1}`),
-		Seed:   WarmSeed{Kappa: 1, Omega0: 0.5, Omega2: 1, P0: 0.25, P1: 0.25},
 	}} {
 		data, err := encodeResultFile(&e)
 		if err != nil {
@@ -38,9 +36,6 @@ func FuzzCacheDecode(f *testing.F) {
 		if e, err := decodeResultFile(data); err == nil {
 			if len(e.Record) == 0 {
 				t.Fatal("accepted result entry with empty record")
-			}
-			if len(e.Seed.BranchLengths) > maxResultLens {
-				t.Fatal("accepted oversized branch-length vector")
 			}
 		}
 	})

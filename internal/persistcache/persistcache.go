@@ -7,12 +7,10 @@
 // dir/result/<row-digest>.json, keyed on the manifest row digest of the
 // gene's name and absolute input paths. It holds the gene's
 // deterministic JSONL record, the options fingerprint (including the
-// resolved π digest) it was computed under, the input files'
-// size+mtime, and the H1 MLE. A full match — fingerprint and file
-// metadata — replays the record byte-identically with zero optimizer
-// iterations; a row-digest match alone can seed the optimizer when the
-// caller opted into warm starts (a documented contract relaxation; see
-// docs/ARCHITECTURE.md).
+// resolved π digest) it was computed under, and the input files'
+// size+mtime. A full match — fingerprint and file metadata — replays
+// the record byte-identically with zero optimizer iterations; anything
+// less is a miss and the gene is fitted from its cold start.
 //
 // Every entry follows manifest.CountCache's discipline: writes go
 // through a temp file and atomic rename (concurrent processes sharing
@@ -49,9 +47,6 @@ type Counters struct {
 	// lookups that found no replayable entry.
 	ResultHits   int `json:"result_hits"`
 	ResultMisses int `json:"result_misses"`
-	// WarmHits counts warm-start seeds served on row-digest-only
-	// matches.
-	WarmHits int `json:"warm_hits"`
 	// ResultWrites counts result entries persisted after fits.
 	ResultWrites int `json:"result_writes"`
 }
@@ -90,20 +85,6 @@ func (s *Store) LookupResult(row, fingerprint string, meta FileMeta) ([]byte, bo
 	}
 	s.count(func(c *Counters) { c.ResultHits++ })
 	return e.Record, true
-}
-
-// LookupSeed returns the stored H1 MLE for the manifest row when the
-// input files still match, regardless of the options fingerprint — the
-// opt-in warm-start relaxation: a different option set's MLE is still
-// a better starting point than a cold draw, but may change final bits.
-func (s *Store) LookupSeed(row string, meta FileMeta) (*WarmSeed, bool) {
-	e, err := s.readResult(row)
-	if err != nil || e.Meta != meta {
-		return nil, false
-	}
-	seed := e.Seed
-	s.count(func(c *Counters) { c.WarmHits++ })
-	return &seed, true
 }
 
 // readResult loads and authenticates the row's entry, verifying the

@@ -2,25 +2,12 @@ package persistcache
 
 import (
 	"bytes"
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 )
-
-func sameBits(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
-}
 
 // flipByte returns data with one bit flipped at offset i.
 func flipByte(data []byte, i int) []byte {
@@ -53,16 +40,11 @@ func testEntry() ResultEntry {
 		Fingerprint: "engine=slim freq=f61 pi=abcdef",
 		Meta:        FileMeta{AlignSize: 123, AlignMTimeNS: 456, TreeSize: 78, TreeMTimeNS: 90},
 		Record:      []byte(`{"name":"g1","lnl_h0":-1,"lnl_h1":-0.5}`),
-		Seed: WarmSeed{
-			Kappa: 2.0000000000000004, Omega0: 0.1, Omega2: 3.7, P0: 0.5, P1: 0.3,
-			BranchLengths: []float64{0.1, 0.2, math.Nextafter(0.3, 1)},
-		},
 	}
 }
 
 // TestResultRoundTrip checks the result tier: a full match replays the
-// record verbatim, any key component mismatch is a miss, and the
-// warm-start seed survives bit-exactly while ignoring the fingerprint.
+// record verbatim, and any key component mismatch is a miss.
 func TestResultRoundTrip(t *testing.T) {
 	store, err := Open(t.TempDir())
 	if err != nil {
@@ -89,23 +71,8 @@ func TestResultRoundTrip(t *testing.T) {
 		t.Error("LookupResult matched an absent row")
 	}
 
-	// The seed ignores the fingerprint (that is its point) but still
-	// requires the input files to match.
-	seed, ok := store.LookupSeed(e.Row, e.Meta)
-	if !ok {
-		t.Fatal("LookupSeed missed a matching row")
-	}
-	if !sameBits([]float64{seed.Kappa, seed.Omega0, seed.Omega2, seed.P0, seed.P1},
-		[]float64{e.Seed.Kappa, e.Seed.Omega0, e.Seed.Omega2, e.Seed.P0, e.Seed.P1}) ||
-		!sameBits(seed.BranchLengths, e.Seed.BranchLengths) {
-		t.Error("seed differs in bits")
-	}
-	if _, ok := store.LookupSeed(e.Row, stale); ok {
-		t.Error("LookupSeed matched stale file metadata")
-	}
-
 	c := store.Counters()
-	if c.ResultWrites != 1 || c.ResultHits != 1 || c.ResultMisses != 3 || c.WarmHits != 1 {
+	if c.ResultWrites != 1 || c.ResultHits != 1 || c.ResultMisses != 3 {
 		t.Fatalf("counters: %+v", c)
 	}
 }
@@ -131,8 +98,43 @@ func TestResultRowBinding(t *testing.T) {
 	if _, ok := store.LookupResult("deadbeef", e.Fingerprint, e.Meta); ok {
 		t.Fatal("LookupResult accepted an entry bound to a different row")
 	}
-	if _, ok := store.LookupSeed("deadbeef", e.Meta); ok {
-		t.Fatal("LookupSeed accepted an entry bound to a different row")
+}
+
+// TestResultV1EntryIsRewritten upgrades a cache written before the
+// entry format dropped its optimizer seed: testdata/result-v1.json is
+// testEntry() as version 1 wrote it, seed fields and valid checksum
+// included. It must read as a miss; the refit's PutResult then rewrites
+// the file as version 2, which replays.
+func TestResultV1EntryIsRewritten(t *testing.T) {
+	store, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := testEntry()
+	v1, err := os.ReadFile(filepath.Join("testdata", "result-v1.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := store.resultPath(e.Row)
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := store.LookupResult(e.Row, e.Fingerprint, e.Meta); ok {
+		t.Fatal("version-1 entry replayed")
+	}
+	if err := store.PutResult(e); err != nil {
+		t.Fatal(err)
+	}
+	v2, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(v2, []byte(`"version":2,`)) || bytes.Contains(v2, []byte(`"seed_`)) {
+		t.Fatalf("rewritten entry is not a seedless version 2:\n%s", v2)
+	}
+	rec, ok := store.LookupResult(e.Row, e.Fingerprint, e.Meta)
+	if !ok || !bytes.Equal(rec, e.Record) {
+		t.Fatalf("rewritten entry: LookupResult = %q, %v; want the stored record", rec, ok)
 	}
 }
 
@@ -159,7 +161,7 @@ func TestResultCorruptionIsMiss(t *testing.T) {
 		"garbage":         []byte("xx"),
 		"truncated":       valid[:len(valid)-10],
 		"bit flip":        flipByte(valid, len(valid)/3),
-		"version":         bytes.Replace(valid, []byte(`"version":1`), []byte(`"version":2`), 1),
+		"version":         bytes.Replace(valid, []byte(`"version":2`), []byte(`"version":3`), 1),
 		"tampered record": tamperField(t, valid, `"row":"`),
 	}
 	for name, data := range corruptions {
@@ -168,9 +170,6 @@ func TestResultCorruptionIsMiss(t *testing.T) {
 		}
 		if _, ok := store.LookupResult(e.Row, e.Fingerprint, e.Meta); ok {
 			t.Errorf("%s: corrupted result entry replayed", name)
-		}
-		if _, ok := store.LookupSeed(e.Row, e.Meta); ok {
-			t.Errorf("%s: corrupted result entry seeded", name)
 		}
 	}
 }
@@ -187,38 +186,6 @@ func TestRejectsInvalidRecord(t *testing.T) {
 	if _, err := decodeResultFile(data); err == nil ||
 		!strings.Contains(err.Error(), "not valid JSON") {
 		t.Fatalf("decodeResultFile accepted a non-JSON record: %v", err)
-	}
-}
-
-// TestEncodeFloatsExactBits round-trips every awkward IEEE-754 corner:
-// signed zeros, denormals, infinities and NaN payloads must come back
-// with identical bits.
-func TestEncodeFloatsExactBits(t *testing.T) {
-	vals := []float64{
-		0, math.Copysign(0, -1), 1.0 / 3.0, math.MaxFloat64,
-		5e-324, -5e-324, math.Inf(1), math.Inf(-1),
-		math.Float64frombits(0x7ff80000deadbeef), // NaN with payload
-		math.Nextafter(1, 2),
-	}
-	s := encodeFloats(vals)
-	if len(s) != 16*len(vals) {
-		t.Fatalf("encoded length %d, want %d", len(s), 16*len(vals))
-	}
-	got, err := decodeFloats(s, len(vals))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range vals {
-		if math.Float64bits(got[i]) != math.Float64bits(vals[i]) {
-			t.Errorf("value %d: bits %016x, want %016x", i,
-				math.Float64bits(got[i]), math.Float64bits(vals[i]))
-		}
-	}
-	if _, err := decodeFloats(s[:len(s)-1], len(vals)); err == nil {
-		t.Error("decodeFloats accepted a short payload")
-	}
-	if _, err := decodeFloats(strings.Replace(s, "0", "g", 1), len(vals)); err == nil {
-		t.Error("decodeFloats accepted non-hex digits")
 	}
 }
 

@@ -139,8 +139,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 			"Persistent result-store misses.", func() float64 { return float64(s.store.Counters().ResultMisses) })
 		r.CounterFunc("slimcodemld_persist_result_writes_total",
 			"Results written to the persistent store.", func() float64 { return float64(s.store.Counters().ResultWrites) })
-		r.CounterFunc("slimcodemld_persist_warm_hits_total",
-			"Warm-start seeds served from the persistent store.", func() float64 { return float64(s.store.Counters().WarmHits) })
 	}
 	return m
 }

@@ -132,7 +132,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"slimcodemld_persist_result_hits_total":    ch.Persist.ResultHits,
 		"slimcodemld_persist_result_misses_total":  ch.Persist.ResultMisses,
 		"slimcodemld_persist_result_writes_total":  ch.Persist.ResultWrites,
-		"slimcodemld_persist_warm_hits_total":      ch.Persist.WarmHits,
 	} {
 		if got := metricValue(t, exp, sample); got != float64(want) {
 			t.Errorf("%s = %v but /healthz reports %d", sample, got, want)

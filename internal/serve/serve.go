@@ -251,16 +251,6 @@ type JobSpec struct {
 	// concurrency).
 	Concurrency int `json:"concurrency,omitempty"`
 	Prefetch    int `json:"prefetch,omitempty"`
-	// WarmStart opts this job into warm-starting the optimizer from the
-	// persistent store's last MLE when a gene's row digest and input
-	// files match but its options fingerprint does not — the fleet
-	// cache hint a coordinator ships to the daemons it fans out to.
-	// Documented contract relaxation: a different starting point may
-	// change final bits, so warm jobs checkpoint (and cache) under a
-	// fingerprint carrying a warm-start marker and never resume or
-	// replay a cold run's records. No-op on a daemon without a cache
-	// directory.
-	WarmStart bool `json:"warm_start,omitempty"`
 }
 
 // Job states.
@@ -1180,11 +1170,10 @@ func (s *Server) resolveSpec(spec JobSpec) ([]manifest.Entry, core.StreamOptions
 			// PoolWorkers is ignored: the stream runs on the shared
 			// pool below.
 		},
-		Prefetch:  spec.Prefetch,
-		Pool:      s.pool,
-		Decomps:   s.cache,
-		Persist:   s.store, // nil without a cache dir
-		WarmStart: spec.WarmStart,
+		Prefetch: spec.Prefetch,
+		Pool:     s.pool,
+		Decomps:  s.cache,
+		Persist:  s.store, // nil without a cache dir
 		// Every job's stream records its fit latencies and prefetch
 		// occupancy into the daemon's registry (the per-gene series on
 		// GET /metrics). Registration is idempotent, so concurrent jobs
