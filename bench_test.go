@@ -159,7 +159,7 @@ func BenchmarkExpm(b *testing.B) {
 	ws := d.NewWorkspace()
 	p := mat.New(d.N(), d.N())
 	// naive-gemm is Eq. 9 on the hand-rolled kernel, CodeML's textbook
-	// loops; gemm and syrk run on the process default kernel.
+	// loops; gemm and syrk run on the blocked kernel.
 	b.Run("naive-gemm", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			d.PMatrixOn(blas.HandRolledKernel, 0.37, expm.MethodGEMM, p, ws)
@@ -415,12 +415,12 @@ func BenchmarkRefreshTransitions(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelSweep times every registered GEMM kernel on the NT
-// shapes the likelihood computation issues (see bench.KernelShapes):
-// the Eq. 9 transition build and the bundled pattern-block apply, each
-// through the plain and the pre-packed entry point. All kernels are
-// bit-exact (conformance suite), so the contrast is pure speed; the
-// README records the per-dimension table.
+// BenchmarkKernelSweep times both GEMM kernels (bench.SweepKernels)
+// on the NT shapes the likelihood computation issues (see
+// bench.KernelShapes): the Eq. 9 transition build and the bundled
+// pattern-block apply, each through the plain and the pre-packed entry
+// point. The kernels are bit-exact (conformance suite), so the
+// contrast is pure speed; the README records the per-dimension table.
 func BenchmarkKernelSweep(b *testing.B) {
 	for _, sh := range bench.KernelShapes {
 		m, n, k := sh[0], sh[1], sh[2]
@@ -433,7 +433,7 @@ func BenchmarkKernelSweep(b *testing.B) {
 		for i := range bm.Data {
 			bm.Data[i] = float64(i%13) * 0.5
 		}
-		for _, kr := range blas.Kernels() {
+		for _, kr := range bench.SweepKernels {
 			name := fmt.Sprintf("%dx%dx%d/%s", m, n, k, kr.Name())
 			b.Run(name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {

@@ -56,7 +56,6 @@ import (
 	"syscall"
 
 	"repro/internal/align"
-	"repro/internal/blas"
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/manifest"
@@ -88,15 +87,8 @@ func main() {
 		workers   = flag.Int("workers", 0, "block-pool likelihood workers (0 = serial engine; batch modes default to GOMAXPROCS)")
 		jobs      = flag.Int("jobs", 0, "genes fitted concurrently in batch modes (0 = GOMAXPROCS)")
 		shareFreq = flag.Bool("sharefreq", false, "batch modes: estimate one frequency vector from the pooled codon counts of all genes")
-		kernel    = flag.String("kernel", "", "default kernel: "+strings.Join(blas.KernelNames(), ", ")+" (empty = $"+blas.KernelEnv+" or "+blas.DefaultKernel+"; every kernel is bit-exact, results never change)")
 	)
 	flag.Parse()
-	if *kernel != "" {
-		if err := blas.SetKernel(*kernel); err != nil {
-			fmt.Fprintln(os.Stderr, "slimcodeml:", err)
-			os.Exit(2)
-		}
-	}
 	seqPaths := strings.Split(*seqPath, ",")
 	listed := *maniPath != "" || *dirPath != ""
 	if !listed && (*seqPath == "" || *treePath == "") {

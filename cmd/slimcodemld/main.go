@@ -70,7 +70,6 @@ import (
 	"time"
 
 	"repro/internal/align"
-	"repro/internal/blas"
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
@@ -87,18 +86,11 @@ func main() {
 		drain     = flag.Duration("drain", 30*time.Second, "graceful-shutdown budget for in-flight genes")
 		retain    = flag.Duration("retain", 0, "purge done/failed/cancelled jobs (files and all) this long after they finish; 0 keeps them forever")
 		tenants   = flag.String("tenants", "", "tenants file enabling token auth, per-tenant quotas and fair-share scheduling (empty = single-tenant open daemon; hot-reloads on file change or SIGHUP)")
-		kernel    = flag.String("kernel", "", "default kernel for all jobs (empty = $"+blas.KernelEnv+" or "+blas.DefaultKernel+"; every kernel is bit-exact, results never change)")
 		cacheDir  = flag.String("cachedir", "", "cross-run warm cache directory (empty = <data>/cache, \"off\" disables); survives restarts, never purged by -retain")
 		logFmt    = flag.String("logfmt", "text", "structured log format on stderr: text or json")
 		withPprof = flag.Bool("pprof", false, "mount net/http/pprof profiling handlers under /debug/pprof/")
 	)
 	flag.Parse()
-	if *kernel != "" {
-		if err := blas.SetKernel(*kernel); err != nil {
-			fmt.Fprintln(os.Stderr, "slimcodemld:", err)
-			os.Exit(2)
-		}
-	}
 	logger, err := obs.NewLogger(os.Stderr, *logFmt)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "slimcodemld:", err)

@@ -24,9 +24,9 @@ type Snapshot struct {
 	// TransitionRefresh is the transition-phase sweep (full P(t)
 	// rebuild) across tree sizes of the dataset-iv family.
 	TransitionRefresh []SnapshotRefresh `json:"transition_refresh"`
-	// KernelSweep times every registered GEMM kernel on the NT shapes
-	// the likelihood computation issues (single-thread ns/op; all
-	// kernels are bit-exact, so this is pure speed).
+	// KernelSweep times both GEMM kernels on the NT shapes the
+	// likelihood computation issues (single-thread ns/op; the kernels
+	// are bit-exact, so this is pure speed).
 	KernelSweep []SnapshotKernelShape `json:"kernel_sweep"`
 	// WarmSweep contrasts a cold streaming run with a warm re-run
 	// through the persistent cross-run cache (internal/persistcache).
@@ -55,12 +55,15 @@ type SnapshotKernelShape struct {
 	Kernels []SnapshotKernelTiming `json:"kernels"`
 }
 
-// SnapshotKernelTiming is one kernel's timing on one shape.
+// SnapshotKernelTiming is one kernel's timing on one shape. The
+// speedup keeps its "speedup_vs_naive" field name so older snapshots,
+// whose reference kernel was the since-removed "naive" one, still
+// parse; it is taken against the hand-rolled kernel.
 type SnapshotKernelTiming struct {
-	Kernel         string  `json:"kernel"`
-	NsPerOp        int64   `json:"ns_per_op"`
-	PackedNsPerOp  int64   `json:"packed_ns_per_op"`
-	SpeedupVsNaive float64 `json:"speedup_vs_naive"`
+	Kernel              string  `json:"kernel"`
+	NsPerOp             int64   `json:"ns_per_op"`
+	PackedNsPerOp       int64   `json:"packed_ns_per_op"`
+	SpeedupVsHandRolled float64 `json:"speedup_vs_naive"`
 }
 
 // SnapshotEval mirrors ParallelSweep with JSON-stable units.
@@ -165,10 +168,10 @@ func RecordSnapshot(workerCounts []int, species []int, evals int) (*Snapshot, er
 		rec := SnapshotKernelShape{M: sh.M, N: sh.N, K: sh.K}
 		for _, kt := range sh.Timings {
 			rec.Kernels = append(rec.Kernels, SnapshotKernelTiming{
-				Kernel:         kt.Kernel,
-				NsPerOp:        kt.NsPerOp,
-				PackedNsPerOp:  kt.PackedNs,
-				SpeedupVsNaive: kt.SpeedupVsNaive,
+				Kernel:              kt.Kernel,
+				NsPerOp:             kt.NsPerOp,
+				PackedNsPerOp:       kt.PackedNs,
+				SpeedupVsHandRolled: kt.SpeedupVsHandRolled,
 			})
 		}
 		snap.KernelSweep = append(snap.KernelSweep, rec)

@@ -39,7 +39,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("warm sweep missing or incoherent: %+v", snap.WarmSweep)
 	}
 	for _, sh := range snap.KernelSweep {
-		if len(sh.Kernels) < 2 || sh.Kernels[0].Kernel != "naive" || sh.Kernels[0].NsPerOp <= 0 {
+		if len(sh.Kernels) != 2 || sh.Kernels[0].Kernel != "hand-rolled" || sh.Kernels[0].NsPerOp <= 0 {
 			t.Fatalf("kernel sweep shape %dx%dx%d incomplete: %+v", sh.M, sh.N, sh.K, sh.Kernels)
 		}
 	}

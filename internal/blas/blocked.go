@@ -6,9 +6,10 @@ import (
 	"repro/internal/mat"
 )
 
-// blockedKernel is the register-blocked micro-kernel with explicit
-// B packing — the restructured inner GEMM the paper attributes
-// SlimCodeML's headline win to, sized for the 61-state codon space.
+// BlockedKernel is the slim engines' NT kernel and Dgemm's N·Tᵀ case:
+// the register-blocked micro-kernel with explicit B packing — the
+// restructured inner GEMM the paper attributes SlimCodeML's headline
+// win to, sized for the 61-state codon space.
 //
 // B is packed once into panels of packNR interleaved rows (element
 // (j0+r, p) at panel[p·NR+r]), so the micro-kernel loads one
@@ -25,12 +26,14 @@ import (
 // L1/L2-resident for the whole product.
 //
 // Bit-exactness: every output element keeps its own accumulator,
-// summed over p in ascending order exactly like the naive reference;
+// summed over p in ascending order exactly like the textbook reference;
 // packing only relocates values. Padded B lanes of the last panel
 // accumulate into lanes that are never written back, so they cannot
 // contaminate real outputs. Row i's operation sequence is independent
 // of lo/hi and of which rows share a tile, preserving the engine's
 // split-anywhere determinism.
+var BlockedKernel Kernel = blockedKernel{}
+
 type blockedKernel struct{}
 
 const (

@@ -7,8 +7,8 @@ import (
 )
 
 // FuzzDgemmNT fuzzes the kernel seam: random shapes, strides, scales
-// and operand values, every conformKernels() kernel checked bit-exactly
-// against the naive reference through all three entry points (full,
+// and operand values, both conformKernels() kernels checked bit-exactly
+// against the refNTRows oracle through all three entry points (full,
 // row-ranged, packed). CI runs this as a 30-second smoke on every
 // push; the committed corpus under testdata/fuzz/FuzzDgemmNT seeds the
 // 61-state codon shapes the production paths hit.
@@ -39,11 +39,10 @@ func FuzzDgemmNT(f *testing.F) {
 		lo := rng.Intn(mi + 1)
 		hi := lo + rng.Intn(mi-lo+1)
 
-		ref := naiveRef(t)
 		want := cloneVals(c0, int(padC%5))
-		ref.DgemmNT(alpha, a, b, beta, want)
+		refNT(alpha, a, b, beta, want)
 		wantRows := cloneVals(c0, int(padC%5))
-		ref.DgemmNTRows(alpha, a, b, beta, wantRows, lo, hi)
+		refNTRows(alpha, a, b, beta, wantRows, lo, hi)
 
 		for _, kr := range conformKernels() {
 			got := cloneVals(c0, int(padC%5))

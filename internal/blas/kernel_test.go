@@ -8,44 +8,23 @@ import (
 	"repro/internal/mat"
 )
 
-func TestKernelRegistry(t *testing.T) {
-	names := KernelNames()
-	if len(names) < 2 || names[0] != "naive" {
-		t.Fatalf("KernelNames() = %v, want naive first plus at least one optimized kernel", names)
-	}
-	for i := 2; i < len(names); i++ {
-		if names[i-1] > names[i] {
-			t.Fatalf("KernelNames() = %v, want name-sorted after naive", names)
-		}
-	}
-	if _, ok := KernelByName("blocked"); !ok {
-		t.Fatal("blocked kernel not registered")
-	}
-	if _, ok := KernelByName("no-such-kernel"); ok {
-		t.Fatal("KernelByName returned a kernel for an unknown name")
-	}
-}
-
+// TestSetKernel: the shim kept for callers of the removed process-wide
+// switch accepts the two names that switch knew, refuses any other,
+// and never changes which kernel ActiveKernel reports.
 func TestSetKernel(t *testing.T) {
-	prev := ActiveKernel().Name()
-	defer func() {
-		if err := SetKernel(prev); err != nil {
-			t.Fatalf("restore kernel %q: %v", prev, err)
-		}
-	}()
-
-	if err := SetKernel("no-such-kernel"); err == nil {
-		t.Fatal("SetKernel accepted an unknown kernel name")
-	} else if ActiveKernel().Name() != prev {
-		t.Fatalf("failed SetKernel changed the active kernel to %q", ActiveKernel().Name())
-	}
-	for _, name := range KernelNames() {
+	for _, name := range []string{"naive", "blocked"} {
 		if err := SetKernel(name); err != nil {
 			t.Fatalf("SetKernel(%q): %v", name, err)
 		}
-		if got := ActiveKernel().Name(); got != name {
-			t.Fatalf("ActiveKernel() = %q after SetKernel(%q)", got, name)
+		if got := ActiveKernel().Name(); got != "blocked" {
+			t.Fatalf("ActiveKernel() = %q after SetKernel(%q), want blocked", got, name)
 		}
+	}
+	if err := SetKernel("no-such-kernel"); err == nil {
+		t.Fatal("SetKernel accepted an unknown kernel name")
+	}
+	if got := ActiveKernel().Name(); got != "blocked" {
+		t.Fatalf("ActiveKernel() = %q after a refused SetKernel, want blocked", got)
 	}
 }
 
@@ -60,7 +39,7 @@ func TestDgemmNTRowsPackedUnpackedPanics(t *testing.T) {
 	DgemmNTRowsPacked(1, a, &PackedB{}, 0, c, 0, 1)
 }
 
-// TestKernelConcurrentUse drives every kernel the way the parallel
+// TestKernelConcurrentUse drives both kernels the way the parallel
 // engine does — many goroutines computing disjoint row ranges of a
 // shared C against a shared A and one shared PackedB, plus unpacked
 // calls exercising the scratch pools concurrently — and checks the
@@ -71,7 +50,7 @@ func TestKernelConcurrentUse(t *testing.T) {
 	const m, n, k, workers = 128, 61, 61, 8
 	a := strided(rng, m, k, 0)
 	b := strided(rng, n, k, 0)
-	for _, kr := range Kernels() {
+	for _, kr := range conformKernels() {
 		want := mat.New(m, n)
 		kr.DgemmNTRows(1, a, b, 0, want, 0, m)
 		var pb PackedB

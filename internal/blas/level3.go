@@ -42,9 +42,9 @@ func Dgemm(transA, transB bool, alpha float64, a, b *mat.Matrix, beta float64, c
 	case !transA && !transB:
 		gemmNN(alpha, a, b, c)
 	case !transA && transB:
-		// The N·Tᵀ shape dispatches through the runtime kernel seam
-		// (C is already β-scaled above, so accumulate with β = 1).
-		ActiveKernel().DgemmNT(alpha, a, b, 1, c)
+		// The N·Tᵀ shape runs on the blocked kernel (C is already
+		// β-scaled above, so accumulate with β = 1).
+		BlockedKernel.DgemmNT(alpha, a, b, 1, c)
 	case transA && !transB:
 		gemmTN(alpha, a, b, c)
 	default:

@@ -9,15 +9,14 @@ import "repro/internal/mat"
 // baseline engine runs them through HandRolledKernel, so the
 // baseline-to-slim runtime contrast includes the tuned-vs-hand-rolled
 // component the paper measured. They are also the oracles the tests
-// check the optimized routines and every kernel against.
+// check the optimized routines and both kernels against.
 
 // HandRolledKernel is the NT kernel of original CodeML's hand-rolled
 // loops: a whole product is one NaiveGemm (the Eq. 9 P(t) loop) and a
 // row range is one NaiveGemv per row (the per-site mat-vec). β is
-// applied up front exactly as the naive kernel applies it, so the
-// results are the naive kernel's bits at the textbook loops' cost. The
-// baseline engine pins it (lik.Config.Kernel). It is not registered,
-// so no -kernel flag or KernelEnv value selects it.
+// applied up front exactly as the reference applies it, so the
+// results are the reference bits at the textbook loops' cost. The
+// baseline engine pins it (lik.Config.Kernel).
 var HandRolledKernel Kernel = handRolledKernel{}
 
 type handRolledKernel struct{}
@@ -42,10 +41,16 @@ func (handRolledKernel) DgemmNTRows(alpha float64, a, b *mat.Matrix, beta float6
 	}
 }
 
-// PackB snapshots B row-major, as the naive kernel does.
+// PackB snapshots B as a compact row-major copy: no layout change,
+// but the same snapshot semantics as BlockedKernel (mutating b
+// afterwards does not affect the pack).
 func (hk handRolledKernel) PackB(b *mat.Matrix, pb *PackedB) {
-	naiveKernel{}.PackB(b, pb)
-	pb.owner = hk
+	n, k := b.Rows, b.Cols
+	buf := pb.grow(n * k)
+	for j := 0; j < n; j++ {
+		copy(buf[j*k:(j+1)*k], b.Row(j))
+	}
+	pb.owner, pb.rows, pb.depth = hk, n, k
 }
 
 func (hk handRolledKernel) DgemmNTRowsPacked(alpha float64, a *mat.Matrix, pb *PackedB, beta float64, c *mat.Matrix, lo, hi int) {

@@ -76,6 +76,9 @@ import (
 // (worker pool, decomposition cache) over the engine kind's kernels.
 func (o *Options) likConfig() lik.Config {
 	cfg := o.Engine.LikConfig()
+	if o.kernel != nil {
+		cfg.Kernel = o.kernel
+	}
 	cfg.Workers = o.Workers
 	cfg.Pool = o.pool
 	cfg.Decomps = o.decomps
@@ -233,6 +236,11 @@ type Options struct {
 	// Shared batch resources, injected by RunBatchStream.
 	pool    *lik.Pool
 	decomps *lik.DecompCache
+
+	// kernel, when non-nil, replaces the engine kind's GEMM kernel.
+	// Both kernels are bit-exact, so only in-package tests set it, to
+	// show that the kernel never reaches the output bytes.
+	kernel blas.Kernel
 
 	// Cross-run persistence, injected by RunBatchStream (see
 	// StreamOptions.Persist): the store and the finalized fingerprint

@@ -68,21 +68,7 @@ func (f *fitter) objective(x []float64) float64 {
 
 func (f *fitter) gradient(x, g []float64) {
 	fx := f.objective(x) // sync engine state to x
-	for i := 0; i < f.nModel; i++ {
-		hStep := f.opts.FDStep * (1 + math.Abs(x[i]))
-		old := x[i]
-		if f.opts.Gradient == optimize.GradForward {
-			x[i] = old + hStep
-			g[i] = (f.objective(x) - fx) / hStep
-		} else {
-			x[i] = old + hStep
-			fp := f.objective(x)
-			x[i] = old - hStep
-			fm := f.objective(x)
-			g[i] = (fp - fm) / (2 * hStep)
-		}
-		x[i] = old
-	}
+	optimize.NumGrad(f.objective, x, fx, g[:f.nModel], f.opts)
 	// Restore the center state, then use cheap path updates for the
 	// branch coordinates.
 	f.objective(x)

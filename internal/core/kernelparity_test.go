@@ -22,51 +22,42 @@ func (z zeroRuntimeSink) Write(r GeneResult) error {
 }
 
 // TestKernelJSONLParity runs the tier-2 streaming batch (manifest →
-// JSONL) once per registered GEMM kernel and requires byte-identical
-// output (modulo the wall-time field). This is the end-to-end face of
-// the kernel seam's bit-exact contract: through eigendecomposition,
-// transition builds, pruning, BFGS and the LRT, the choice of
-// micro-kernel must be invisible in every emitted digit.
+// JSONL) of the slim-bundled engine once on each shipped GEMM kernel
+// and requires byte-identical output (modulo the wall-time field).
+// This is the end-to-end face of the kernel seam's bit-exact contract:
+// through eigendecomposition, transition builds, pruning, BFGS and the
+// LRT, the choice of micro-kernel must be invisible in every emitted
+// digit.
 func TestKernelJSONLParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full kernel sweep of the streaming batch; skipped under -short")
 	}
-	prev := blas.ActiveKernel().Name()
-	defer func() {
-		if err := blas.SetKernel(prev); err != nil {
-			t.Fatalf("restore kernel %q: %v", prev, err)
-		}
-	}()
-
 	genes := streamGenes(t, 6)
 	entries := writeManifestDir(t, genes)
-	opts := BatchOptions{
-		Options:     Options{Engine: EngineSlimBundled, MaxIterations: 2, Seed: 1},
-		Concurrency: 2,
-		PoolWorkers: 2,
-	}
 
 	var ref []byte
 	var refName string
-	for _, name := range blas.KernelNames() {
-		if err := blas.SetKernel(name); err != nil {
-			t.Fatal(err)
+	for _, kr := range []blas.Kernel{blas.BlockedKernel, blas.HandRolledKernel} {
+		opts := BatchOptions{
+			Options:     Options{Engine: EngineSlimBundled, MaxIterations: 2, Seed: 1, kernel: kr},
+			Concurrency: 2,
+			PoolWorkers: 2,
 		}
 		var buf bytes.Buffer
 		sum, err := RunBatchStream(context.Background(), NewManifestSource(entries, align.FormatAuto),
 			zeroRuntimeSink{NewJSONLSink(&buf)}, StreamOptions{BatchOptions: opts, Prefetch: 3})
 		if err != nil {
-			t.Fatalf("kernel %s: %v", name, err)
+			t.Fatalf("kernel %s: %v", kr.Name(), err)
 		}
 		if sum.Genes != len(genes) || sum.Failed != 0 {
-			t.Fatalf("kernel %s: summary %+v", name, sum)
+			t.Fatalf("kernel %s: summary %+v", kr.Name(), sum)
 		}
 		if ref == nil {
-			ref, refName = buf.Bytes(), name
+			ref, refName = buf.Bytes(), kr.Name()
 			continue
 		}
 		if !bytes.Equal(buf.Bytes(), ref) {
-			t.Fatalf("kernel %s JSONL output differs from kernel %s", name, refName)
+			t.Fatalf("kernel %s JSONL output differs from kernel %s", kr.Name(), refName)
 		}
 	}
 }

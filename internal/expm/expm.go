@@ -36,7 +36,7 @@ type Method int
 
 const (
 	// MethodGEMM is the paper's Eq. 9: a general matrix product
-	// Z = Ỹ Xᵀ (≈2n³ flops) on a blas.Kernel — the naive kernel
+	// Z = Ỹ Xᵀ (≈2n³ flops) on a blas.Kernel — blas.HandRolledKernel
 	// models original CodeML's hand-rolled loops.
 	MethodGEMM Method = iota
 	// MethodSYRK is the paper's Eq. 10: the symmetric rank-k update
@@ -64,9 +64,8 @@ type Decomposition struct {
 	pi        []float64
 	sqrtPi    []float64
 	invSqrtPi []float64
-	lambda    []float64     // eigenvalues of A, ascending
-	x         *mat.Matrix   // eigenvectors of A (columns)
-	xp        *blas.PackedB // X packed once for the repeated Ỹ·Xᵀ products
+	lambda    []float64   // eigenvalues of A, ascending
+	x         *mat.Matrix // eigenvectors of A (columns)
 }
 
 // Workspace holds the scratch matrices one goroutine needs to build
@@ -155,7 +154,10 @@ func (a *Arena) At(worker, n int) *Workspace {
 // Decompose symmetrizes the factored rate matrix (S, π) per Eq. 2 and
 // eigendecomposes it. S must be the symmetric exchangeability factor
 // with diagonal chosen so Q = S·Π has zero row sums (as produced by
-// codon.NewRate); π must be strictly positive.
+// codon.NewRate); π must be strictly positive. The result holds Λ and
+// X only, not a kernel-packed copy of X: each PMatrix call hands X to
+// its kernel as is, so one decomposition serves engines on either
+// kernel.
 func Decompose(s *mat.Matrix, pi []float64) (*Decomposition, error) {
 	n := s.Rows
 	if s.Cols != n {
@@ -191,10 +193,6 @@ func Decompose(s *mat.Matrix, pi []float64) (*Decomposition, error) {
 	}
 	d.lambda = eig.Values
 	d.x = eig.Vectors
-	// Pack X once: every PMatrix call reuses it as the B operand of
-	// Eq. 9's Ỹ·Xᵀ, so the per-call packing cost of the blocked kernel
-	// is paid here, once per decomposition, instead of once per branch.
-	d.xp = blas.PackNT(d.x, nil)
 	return d, nil
 }
 
@@ -206,16 +204,17 @@ func (d *Decomposition) N() int { return d.n }
 func (d *Decomposition) Eigenvalues() []float64 { return d.lambda }
 
 // PMatrix computes P(t) = e^{Qt} into dst (n×n) using the selected
-// method, running MethodGEMM's product on the process default kernel
-// (blas.ActiveKernel). t must be non-negative. Small negative entries
-// arising from rounding are clamped to zero, as CodeML does, so
-// downstream likelihoods remain non-negative.
+// method, running MethodGEMM's product on blas.BlockedKernel. t must
+// be non-negative. Small negative entries arising from rounding are
+// clamped to zero, as CodeML does, so downstream likelihoods remain
+// non-negative.
 func (d *Decomposition) PMatrix(t float64, method Method, dst *mat.Matrix, ws *Workspace) {
-	d.PMatrixOn(blas.ActiveKernel(), t, method, dst, ws)
+	d.PMatrixOn(blas.BlockedKernel, t, method, dst, ws)
 }
 
-// PMatrixOn is PMatrix with MethodGEMM's Ỹ·Xᵀ product run on kernel k.
-// Every kernel is bit-exact, so k changes speed only.
+// PMatrixOn is PMatrix with MethodGEMM's Ỹ·Xᵀ product run on kernel k
+// — the engine's own kernel (lik.Config.Kernel). Both kernels are
+// bit-exact, so k changes speed only.
 func (d *Decomposition) PMatrixOn(k blas.Kernel, t float64, method Method, dst *mat.Matrix, ws *Workspace) {
 	if t < 0 {
 		panic(fmt.Sprintf("expm: negative branch length %g", t))
@@ -226,18 +225,13 @@ func (d *Decomposition) PMatrixOn(k blas.Kernel, t float64, method Method, dst *
 	ws.Resize(d.n)
 	switch method {
 	case MethodGEMM:
-		// Eq. 9: Ỹ = X·e^{Λt}; Z = Ỹ·Xᵀ, reusing the packed X when k
-		// packed it.
+		// Eq. 9: Ỹ = X·e^{Λt}; Z = Ỹ·Xᵀ.
 		for i, l := range d.lambda {
 			ws.d[i] = math.Exp(l * t)
 		}
 		ws.y.CopyFrom(d.x)
 		ws.y.ScaleCols(ws.d)
-		if d.xp.Kernel() == k.Name() {
-			blas.DgemmNTPacked(1, ws.y, d.xp, 0, ws.z)
-		} else {
-			k.DgemmNT(1, ws.y, d.x, 0, ws.z)
-		}
+		k.DgemmNT(1, ws.y, d.x, 0, ws.z)
 	case MethodSYRK:
 		// Eq. 10–11: Y = X·e^{Λt/2}; Z = Y·Yᵀ.
 		for i, l := range d.lambda {

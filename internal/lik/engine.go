@@ -16,10 +16,10 @@
 // Config.Kernel names the blas.Kernel that runs the engine's P(t) GEMM
 // (expm.MethodGEMM) and the bundled apply. The baseline engine pins
 // blas.HandRolledKernel, whose row product is the textbook per-site
-// mat-vec of CodeML's hand-rolled loops; every other engine takes the
-// process default. Kernels are bit-exact against each other,
-// so the kernel changes speed, never a likelihood, and the engine never
-// branches on which one it holds.
+// mat-vec of CodeML's hand-rolled loops; every other engine runs
+// blas.BlockedKernel. The two kernels are bit-exact against each
+// other, so the kernel changes speed, never a likelihood, and the
+// engine never branches on which one it holds.
 //
 // Orthogonally to both, two execution strategies are available (§V-B,
 // the step toward the fully parallel FastCodeML):
@@ -98,9 +98,8 @@ const DefaultBlockSize = 64
 type Config struct {
 	// Kernel runs the engine's NT products: the P(t) GEMM of
 	// expm.MethodGEMM and the bundled apply against the transition
-	// matrices it packs. nil selects the process default,
-	// blas.ActiveKernel() at New. Every kernel is bit-exact, so the
-	// choice changes speed only.
+	// matrices it packs. nil selects blas.BlockedKernel. Both kernels
+	// are bit-exact, so the choice changes speed only.
 	Kernel  blas.Kernel
 	PMethod expm.Method
 	Apply   ApplyMode
@@ -128,7 +127,7 @@ type Config struct {
 
 func (c *Config) fill() {
 	if c.Kernel == nil {
-		c.Kernel = blas.ActiveKernel()
+		c.Kernel = blas.BlockedKernel
 	}
 	if c.scaleThreshold == 0 {
 		c.scaleThreshold = 1e-100

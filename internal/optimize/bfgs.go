@@ -102,7 +102,7 @@ func Minimize(p Problem, x0 []float64, opts Options) *Result {
 			p.Grad(x, g)
 			return
 		}
-		numGrad(evalF, x, fx, g, opts)
+		NumGrad(evalF, x, fx, g, opts)
 	}
 
 	x := res.X
@@ -201,10 +201,13 @@ func Minimize(p Problem, x0 []float64, opts Options) *Result {
 	return res
 }
 
-// numGrad fills g with a finite-difference gradient. fx is the
-// objective value at x, reused by forward differences.
-func numGrad(f func([]float64) float64, x []float64, fx float64, g []float64, opts Options) {
-	for i := range x {
+// NumGrad fills g with the finite-difference gradient of f over the
+// first len(g) coordinates of x (len(g) ≤ len(x)), using opts.Gradient
+// and opts.FDStep; the other coordinates stay fixed. fx is the
+// objective value at x, reused by forward differences. x is restored
+// before return.
+func NumGrad(f func([]float64) float64, x []float64, fx float64, g []float64, opts Options) {
+	for i := range g {
 		hStep := opts.FDStep * (1 + math.Abs(x[i]))
 		old := x[i]
 		switch opts.Gradient {

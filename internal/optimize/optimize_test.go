@@ -232,19 +232,19 @@ func TestNumGradAccuracy(t *testing.T) {
 	x := []float64{0.5, 1.2}
 	fx := f(x)
 	g := make([]float64, 2)
-	numGrad(f, x, fx, g, Options{FDStep: 1e-7, Gradient: GradCentral})
+	NumGrad(f, x, fx, g, Options{FDStep: 1e-7, Gradient: GradCentral})
 	wantG0 := math.Exp(0.5) * math.Sin(1.2)
 	wantG1 := math.Exp(0.5) * math.Cos(1.2)
 	if math.Abs(g[0]-wantG0) > 1e-6 || math.Abs(g[1]-wantG1) > 1e-6 {
 		t.Fatalf("central gradient %v, want [%g %g]", g, wantG0, wantG1)
 	}
-	numGrad(f, x, fx, g, Options{FDStep: 1e-7, Gradient: GradForward})
+	NumGrad(f, x, fx, g, Options{FDStep: 1e-7, Gradient: GradForward})
 	if math.Abs(g[0]-wantG0) > 1e-4 || math.Abs(g[1]-wantG1) > 1e-4 {
 		t.Fatalf("forward gradient %v", g)
 	}
 	// x must be restored.
 	if x[0] != 0.5 || x[1] != 1.2 {
-		t.Fatal("numGrad did not restore x")
+		t.Fatal("NumGrad did not restore x")
 	}
 }
 
