@@ -187,7 +187,7 @@ func Decompose(s *mat.Matrix, pi []float64) (*Decomposition, error) {
 	// Guard against rounding asymmetry before the symmetric solver.
 	a.Symmetrize()
 
-	eig, err := lapack.Dsyev(a)
+	eig, err := lapack.DsyevInPlace(a)
 	if err != nil {
 		return nil, fmt.Errorf("expm: eigendecomposition failed: %w", err)
 	}

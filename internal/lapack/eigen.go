@@ -45,18 +45,29 @@ type Eigen struct {
 // assumed and not checked — use mat.Matrix.IsSymmetric beforehand if
 // the input is suspect.
 func Dsyev(a *mat.Matrix) (*Eigen, error) {
-	n := a.Rows
-	if a.Cols != n {
+	if a.Cols != a.Rows {
 		panic("lapack: Dsyev requires a square matrix")
 	}
-	z := a.Clone()
+	return DsyevInPlace(a.Clone())
+}
+
+// DsyevInPlace is Dsyev for a caller that owns z and no longer needs
+// it: z is overwritten, and on success it is the returned Vectors.
+// The result is bit-identical to Dsyev's.
+func DsyevInPlace(z *mat.Matrix) (*Eigen, error) {
+	n := z.Rows
+	if z.Cols != n {
+		panic("lapack: Dsyev requires a square matrix")
+	}
 	d := make([]float64, n)
 	e := make([]float64, n)
 	Tred2(z, d, e)
-	if err := Tql2(d, e, z); err != nil {
+	transposeSquare(z)
+	if err := tql2(d, e, z); err != nil {
 		return nil, err
 	}
 	sortEigen(d, z)
+	transposeSquare(z)
 	return &Eigen{Values: d, Vectors: z}, nil
 }
 
@@ -75,80 +86,105 @@ func Tred2(z *mat.Matrix, d, e []float64) {
 	if n == 0 {
 		return
 	}
+	zd, st := z.Data, z.Stride
 
 	for i := n - 1; i >= 1; i-- {
 		l := i - 1
+		zi := zd[i*st : i*st+n]
 		h, scale := 0.0, 0.0
 		if l > 0 {
 			for k := 0; k <= l; k++ {
-				scale += math.Abs(z.At(i, k))
+				scale += math.Abs(zi[k])
 			}
 			if scale == 0 {
-				e[i] = z.At(i, l)
+				e[i] = zi[l]
 			} else {
 				for k := 0; k <= l; k++ {
-					v := z.At(i, k) / scale
-					z.Set(i, k, v)
+					v := zi[k] / scale
+					zi[k] = v
 					h += v * v
 				}
-				f := z.At(i, l)
+				f := zi[l]
 				g := math.Sqrt(h)
 				if f > 0 {
 					g = -g
 				}
 				e[i] = scale * g
 				h -= f * g
-				z.Set(i, l, f-g)
+				zi[l] = f - g
+				// g_j = Σ_{k≤j} z[j][k]·z[i][k] + Σ_{j<k≤l} z[k][j]·z[i][k],
+				// summed in k order. Row k starts g_k in e[k] and adds
+				// its k-th term to every g_j, j < k, whose first part
+				// row j has already summed.
+				for k := 0; k <= l; k++ {
+					zk := zd[k*st : k*st+n]
+					zk[i] = zi[k] / h
+					g = 0
+					for m := 0; m <= k; m++ {
+						g += zk[m] * zi[m]
+					}
+					e[k] = g
+					zik := zi[k]
+					for j := 0; j < k; j++ {
+						e[j] += zk[j] * zik
+					}
+				}
 				f = 0
 				for j := 0; j <= l; j++ {
-					z.Set(j, i, z.At(i, j)/h)
-					g = 0
-					for k := 0; k <= j; k++ {
-						g += z.At(j, k) * z.At(i, k)
-					}
-					for k := j + 1; k <= l; k++ {
-						g += z.At(k, j) * z.At(i, k)
-					}
-					e[j] = g / h
-					f += e[j] * z.At(i, j)
+					e[j] = e[j] / h
+					f += e[j] * zi[j]
 				}
 				hh := f / (h + h)
 				for j := 0; j <= l; j++ {
-					f = z.At(i, j)
+					f = zi[j]
 					g = e[j] - hh*f
 					e[j] = g
-					for k := 0; k <= j; k++ {
-						z.Set(j, k, z.At(j, k)-(f*e[k]+g*z.At(i, k)))
+					zj := zd[j*st : j*st+j+1]
+					for k := range zj {
+						zj[k] -= f*e[k] + g*zi[k]
 					}
 				}
 			}
 		} else {
-			e[i] = z.At(i, l)
+			e[i] = zi[l]
 		}
 		d[i] = h
 	}
 	d[0] = 0
 	e[0] = 0
 
-	// Accumulate the transformations.
+	// Accumulate the transformations: g_j = Σ_k z[i][k]·z[k][j] for
+	// every column j < i at once, summed row by row in k order, then
+	// z[k][j] -= g_j·z[k][i].
+	g := make([]float64, n)
 	for i := 0; i < n; i++ {
 		l := i - 1
+		zi := zd[i*st : i*st+n]
 		if d[i] != 0 {
-			for j := 0; j <= l; j++ {
-				g := 0.0
-				for k := 0; k <= l; k++ {
-					g += z.At(i, k) * z.At(k, j)
+			gi := g[:i]
+			for j := range gi {
+				gi[j] = 0
+			}
+			for k := 0; k <= l; k++ {
+				zik := zi[k]
+				zk := zd[k*st : k*st+i]
+				for j, v := range zk {
+					gi[j] += zik * v
 				}
-				for k := 0; k <= l; k++ {
-					z.Set(k, j, z.At(k, j)-g*z.At(k, i))
+			}
+			for k := 0; k <= l; k++ {
+				zk := zd[k*st : k*st+i+1]
+				zki := zk[i]
+				for j, gj := range gi {
+					zk[j] -= gj * zki
 				}
 			}
 		}
-		d[i] = z.At(i, i)
-		z.Set(i, i, 1)
+		d[i] = zi[i]
+		zi[i] = 1
 		for j := 0; j <= l; j++ {
-			z.Set(j, i, 0)
-			z.Set(i, j, 0)
+			zd[j*st+i] = 0
+			zi[j] = 0
 		}
 	}
 }
@@ -165,10 +201,22 @@ func Tql2(d, e []float64, z *mat.Matrix) error {
 	if len(e) != n || z.Rows != n || z.Cols != n {
 		panic("lapack: Tql2 dimension mismatch")
 	}
+	transposeSquare(z)
+	err := tql2(d, e, z)
+	transposeSquare(z)
+	return err
+}
+
+// tql2 is Tql2 on zt = zᵀ: each rotation combines two eigenvectors,
+// which are two contiguous rows of zt rather than two columns a full
+// row apart in z.
+func tql2(d, e []float64, zt *mat.Matrix) error {
+	n := len(d)
 	if n == 0 {
 		return nil
 	}
 	const maxIter = 50
+	zd, st := zt.Data, zt.Stride
 
 	for i := 1; i < n; i++ {
 		e[i-1] = e[i]
@@ -219,11 +267,13 @@ func Tql2(d, e []float64, z *mat.Matrix) error {
 				p = s * r
 				d[i+1] = g + p
 				g = c*r - b
-				// Apply the rotation to the eigenvector columns.
-				for k := 0; k < n; k++ {
-					f = z.At(k, i+1)
-					z.Set(k, i+1, s*z.At(k, i)+c*f)
-					z.Set(k, i, c*z.At(k, i)-s*f)
+				// Apply the rotation to eigenvectors i and i+1.
+				zi := zd[i*st : i*st+n]
+				zi1 := zd[(i+1)*st : (i+1)*st+n]
+				zi = zi[:len(zi1)]
+				for k, f := range zi1 {
+					zi1[k] = s*zi[k] + c*f
+					zi[k] = c*zi[k] - s*f
 				}
 			}
 			if underflow {
@@ -241,9 +291,20 @@ func Tql2(d, e []float64, z *mat.Matrix) error {
 // convergence test.
 const machEps = 2.220446049250313e-16
 
-// sortEigen sorts eigenvalues ascending and permutes the eigenvector
-// columns of z to match.
-func sortEigen(d []float64, z *mat.Matrix) {
+// transposeSquare transposes the square matrix z in place.
+func transposeSquare(z *mat.Matrix) {
+	zd, st := z.Data, z.Stride
+	for i := 1; i < z.Rows; i++ {
+		for j := 0; j < i; j++ {
+			zd[i*st+j], zd[j*st+i] = zd[j*st+i], zd[i*st+j]
+		}
+	}
+}
+
+// sortEigen sorts eigenvalues ascending and permutes the rows of zt,
+// the eigenvectors, to match. The permutation is applied in place,
+// one cycle at a time through a single row of scratch.
+func sortEigen(d []float64, zt *mat.Matrix) {
 	n := len(d)
 	idx := make([]int, n)
 	for i := range idx {
@@ -251,14 +312,26 @@ func sortEigen(d []float64, z *mat.Matrix) {
 	}
 	sort.SliceStable(idx, func(a, b int) bool { return d[idx[a]] < d[idx[b]] })
 
-	sorted := make([]float64, n)
-	perm := mat.New(n, n)
-	for newCol, oldCol := range idx {
-		sorted[newCol] = d[oldCol]
-		for r := 0; r < n; r++ {
-			perm.Set(r, newCol, z.At(r, oldCol))
+	// Row c of the result is row idx[c] of the input. Walk each cycle
+	// c → idx[c] → … back to its start, marking visited entries -1.
+	row := func(i int) []float64 { return zt.Data[i*zt.Stride : i*zt.Stride+n] }
+	tmp := make([]float64, n)
+	for start := range idx {
+		if idx[start] == start || idx[start] < 0 {
+			continue
 		}
+		copy(tmp, row(start))
+		dStart := d[start]
+		c := start
+		for idx[c] != start {
+			src := idx[c]
+			copy(row(c), row(src))
+			d[c] = d[src]
+			idx[c] = -1
+			c = src
+		}
+		copy(row(c), tmp)
+		d[c] = dStart
+		idx[c] = -1
 	}
-	copy(d, sorted)
-	z.CopyFrom(perm)
 }
