@@ -13,6 +13,18 @@
 //     branch of dsyevr; MRRR is an internal LAPACK alternative with
 //     the same contract).
 //
+// Both phases walk row-major memory (internal/mat) by rows. Tred2
+// indexes z.Data through its stride, and where the textbook code sums
+// down a column it sums row by row instead, with the same terms in the
+// same order. Each QL rotation combines two eigenvectors, so Tql2
+// transposes z in place, rotates two contiguous rows of zᵀ in EISPACK
+// order and transposes back on return; Dsyev then sorts the columns in
+// place. Every arithmetic expression is EISPACK's, so on amd64 the
+// output bits equal those of the textbook code written through
+// mat.At/Set, which the tests keep as an oracle. As the engine's
+// pinned-bytes test notes, arm64, ppc64le and s390x fuse x*y+z into
+// one FMA instruction, so their bits differ from amd64's.
+//
 // A cyclic Jacobi solver is also provided; it is slower but has
 // independently-verifiable convergence behaviour and is used by the
 // tests to cross-validate the QL path.
@@ -62,12 +74,10 @@ func DsyevInPlace(z *mat.Matrix) (*Eigen, error) {
 	d := make([]float64, n)
 	e := make([]float64, n)
 	Tred2(z, d, e)
-	transposeSquare(z)
-	if err := tql2(d, e, z); err != nil {
+	if err := Tql2(d, e, z); err != nil {
 		return nil, err
 	}
 	sortEigen(d, z)
-	transposeSquare(z)
 	return &Eigen{Values: d, Vectors: z}, nil
 }
 
@@ -201,22 +211,16 @@ func Tql2(d, e []float64, z *mat.Matrix) error {
 	if len(e) != n || z.Rows != n || z.Cols != n {
 		panic("lapack: Tql2 dimension mismatch")
 	}
-	transposeSquare(z)
-	err := tql2(d, e, z)
-	transposeSquare(z)
-	return err
-}
-
-// tql2 is Tql2 on zt = zᵀ: each rotation combines two eigenvectors,
-// which are two contiguous rows of zt rather than two columns a full
-// row apart in z.
-func tql2(d, e []float64, zt *mat.Matrix) error {
-	n := len(d)
 	if n == 0 {
 		return nil
 	}
+	// Each rotation combines two eigenvectors. Run on zᵀ, they are two
+	// contiguous rows rather than two columns a full row apart.
+	transposeSquare(z)
+	defer transposeSquare(z)
+
 	const maxIter = 50
-	zd, st := zt.Data, zt.Stride
+	zd, st := z.Data, z.Stride
 
 	for i := 1; i < n; i++ {
 		e[i-1] = e[i]
@@ -301,10 +305,11 @@ func transposeSquare(z *mat.Matrix) {
 	}
 }
 
-// sortEigen sorts eigenvalues ascending and permutes the rows of zt,
-// the eigenvectors, to match. The permutation is applied in place,
-// one cycle at a time through a single row of scratch.
-func sortEigen(d []float64, zt *mat.Matrix) {
+// sortEigen sorts eigenvalues ascending and permutes the eigenvector
+// columns of z to match, in place: column c of the result is column
+// idx[c] of the input, and each cycle c → idx[c] → … is walked once
+// through one column of scratch, marking visited entries -1.
+func sortEigen(d []float64, z *mat.Matrix) {
 	n := len(d)
 	idx := make([]int, n)
 	for i := range idx {
@@ -312,25 +317,29 @@ func sortEigen(d []float64, zt *mat.Matrix) {
 	}
 	sort.SliceStable(idx, func(a, b int) bool { return d[idx[a]] < d[idx[b]] })
 
-	// Row c of the result is row idx[c] of the input. Walk each cycle
-	// c → idx[c] → … back to its start, marking visited entries -1.
-	row := func(i int) []float64 { return zt.Data[i*zt.Stride : i*zt.Stride+n] }
+	zd, st := z.Data, z.Stride
 	tmp := make([]float64, n)
 	for start := range idx {
 		if idx[start] == start || idx[start] < 0 {
 			continue
 		}
-		copy(tmp, row(start))
+		for r := range tmp {
+			tmp[r] = zd[r*st+start]
+		}
 		dStart := d[start]
 		c := start
 		for idx[c] != start {
 			src := idx[c]
-			copy(row(c), row(src))
+			for r := 0; r < n; r++ {
+				zd[r*st+c] = zd[r*st+src]
+			}
 			d[c] = d[src]
 			idx[c] = -1
 			c = src
 		}
-		copy(row(c), tmp)
+		for r, v := range tmp {
+			zd[r*st+c] = v
+		}
 		d[c] = dStart
 		idx[c] = -1
 	}

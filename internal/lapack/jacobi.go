@@ -21,7 +21,7 @@ func Jacobi(a *mat.Matrix) (*Eigen, error) {
 		panic("lapack: Jacobi requires a square matrix")
 	}
 	w := a.Clone()
-	vt := mat.Identity(n) // Vᵀ: eigenvector j is row j
+	v := mat.Identity(n)
 	const maxSweeps = 64
 
 	for sweep := 0; sweep < maxSweeps; sweep++ {
@@ -31,9 +31,8 @@ func Jacobi(a *mat.Matrix) (*Eigen, error) {
 			for i := 0; i < n; i++ {
 				d[i] = w.At(i, i)
 			}
-			sortEigen(d, vt)
-			transposeSquare(vt)
-			return &Eigen{Values: d, Vectors: vt}, nil
+			sortEigen(d, v)
+			return &Eigen{Values: d, Vectors: v}, nil
 		}
 		for p := 0; p < n-1; p++ {
 			for q := p + 1; q < n; q++ {
@@ -53,7 +52,7 @@ func Jacobi(a *mat.Matrix) (*Eigen, error) {
 				}
 				c := 1 / math.Hypot(1, t)
 				s := t * c
-				applyJacobiRotation(w, vt, p, q, c, s)
+				applyJacobiRotation(w, v, p, q, c, s)
 			}
 		}
 	}
@@ -61,9 +60,8 @@ func Jacobi(a *mat.Matrix) (*Eigen, error) {
 }
 
 // applyJacobiRotation applies the rotation J(p,q,θ) from both sides of
-// w (w ← JᵀwJ) and accumulates it into vt = vᵀ (v ← vJ), where it
-// combines rows p and q.
-func applyJacobiRotation(w, vt *mat.Matrix, p, q int, c, s float64) {
+// w (w ← JᵀwJ) and accumulates it into v (v ← vJ).
+func applyJacobiRotation(w, v *mat.Matrix, p, q int, c, s float64) {
 	n := w.Rows
 	for k := 0; k < n; k++ {
 		wkp, wkq := w.At(k, p), w.At(k, q)
@@ -75,11 +73,10 @@ func applyJacobiRotation(w, vt *mat.Matrix, p, q int, c, s float64) {
 		w.Set(p, k, c*wpk-s*wqk)
 		w.Set(q, k, s*wpk+c*wqk)
 	}
-	vp, vq := vt.Row(p), vt.Row(q)
-	for k, vkp := range vp {
-		vkq := vq[k]
-		vp[k] = c*vkp - s*vkq
-		vq[k] = s*vkp + c*vkq
+	for k := 0; k < n; k++ {
+		vkp, vkq := v.At(k, p), v.At(k, q)
+		v.Set(k, p, c*vkp-s*vkq)
+		v.Set(k, q, s*vkp+c*vkq)
 	}
 }
 
