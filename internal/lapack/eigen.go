@@ -57,9 +57,6 @@ type Eigen struct {
 // assumed and not checked — use mat.Matrix.IsSymmetric beforehand if
 // the input is suspect.
 func Dsyev(a *mat.Matrix) (*Eigen, error) {
-	if a.Cols != a.Rows {
-		panic("lapack: Dsyev requires a square matrix")
-	}
 	return DsyevInPlace(a.Clone())
 }
 
@@ -306,9 +303,10 @@ func transposeSquare(z *mat.Matrix) {
 }
 
 // sortEigen sorts eigenvalues ascending and permutes the eigenvector
-// columns of z to match, in place: column c of the result is column
-// idx[c] of the input, and each cycle c → idx[c] → … is walked once
-// through one column of scratch, marking visited entries -1.
+// columns of z to match, in place. Column c of the result is column
+// idx[c] of the input; when idx[c] < c a swap at an earlier position
+// has moved it, and following idx until the index reaches c or beyond
+// finds where it now is.
 func sortEigen(d []float64, z *mat.Matrix) {
 	n := len(d)
 	idx := make([]int, n)
@@ -318,29 +316,16 @@ func sortEigen(d []float64, z *mat.Matrix) {
 	sort.SliceStable(idx, func(a, b int) bool { return d[idx[a]] < d[idx[b]] })
 
 	zd, st := z.Data, z.Stride
-	tmp := make([]float64, n)
-	for start := range idx {
-		if idx[start] == start || idx[start] < 0 {
+	for c, src := range idx {
+		for src < c {
+			src = idx[src]
+		}
+		if src == c {
 			continue
 		}
-		for r := range tmp {
-			tmp[r] = zd[r*st+start]
+		d[c], d[src] = d[src], d[c]
+		for r := 0; r < n; r++ {
+			zd[r*st+c], zd[r*st+src] = zd[r*st+src], zd[r*st+c]
 		}
-		dStart := d[start]
-		c := start
-		for idx[c] != start {
-			src := idx[c]
-			for r := 0; r < n; r++ {
-				zd[r*st+c] = zd[r*st+src]
-			}
-			d[c] = d[src]
-			idx[c] = -1
-			c = src
-		}
-		for r, v := range tmp {
-			zd[r*st+c] = v
-		}
-		d[c] = dStart
-		idx[c] = -1
 	}
 }
