@@ -95,6 +95,13 @@ func (blockedKernel) DgemmNTRowsPacked(alpha float64, a *mat.Matrix, pb *PackedB
 	if alpha == 0 || k == 0 || lo == hi || n == 0 {
 		return
 	}
+	microRows(alpha, a, pb, c, ntQuads(alpha, a, pb, c, lo, hi), hi)
+}
+
+// microRows is the Go tile path over rows [lo, hi): micro2x4 on row
+// pairs, micro1x4 on an odd last row, each across every panel.
+func microRows(alpha float64, a *mat.Matrix, pb *PackedB, c *mat.Matrix, lo, hi int) {
+	n, k := pb.rows, pb.depth
 	np := (n + packNR - 1) / packNR
 	i := lo
 	for ; i+packMR <= hi; i += packMR {

@@ -28,8 +28,10 @@ func Dgemv(trans bool, alpha float64, a *mat.Matrix, x []float64, beta float64, 
 	}
 	if !trans {
 		// Row-major, no-transpose: each y[i] is a dot product with a
-		// contiguous row — the cache-friendly orientation.
-		for i := 0; i < m; i++ {
+		// contiguous row — the cache-friendly orientation. The AVX tile
+		// takes rows four at a time where it runs (each row keeps
+		// Ddot's lanes and order); Ddot takes the rest.
+		for i := gemvQuads(alpha, a, x, y); i < m; i++ {
 			y[i] += alpha * Ddot(a.Row(i), x)
 		}
 		return

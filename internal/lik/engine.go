@@ -810,14 +810,16 @@ func (e *Engine) leafMessage(tm *mat.Matrix, leafRow int, dst *mat.Matrix, lo, h
 			}
 			continue
 		}
+		// Column k of P(t): element i sits i strides into col.
+		col, st := tm.Data[k:], tm.Stride
 		if symv {
 			f := pi[k]
-			for i := range drow {
-				drow[i] = f * tm.At(i, k)
+			for i, j := 0, 0; i < len(drow); i, j = i+1, j+st {
+				drow[i] = f * col[j]
 			}
 		} else {
-			for i := range drow {
-				drow[i] = tm.At(i, k)
+			for i, j := 0, 0; i < len(drow); i, j = i+1, j+st {
+				drow[i] = col[j]
 			}
 		}
 	}
