@@ -12,33 +12,40 @@ import (
 // win to, sized for the 61-state codon space.
 //
 // B is packed once into panels of packNR interleaved rows (element
-// (j0+r, p) at panel[p·NR+r]), so the micro-kernel loads one
-// contiguous 4-wide strip of B per k step. A needs no packing: its
-// rows are already k-contiguous in row-major storage, and the kernel
-// walks packMR of them at a time. Each micro-kernel call keeps a
-// packMR×packNR block of C in registers: 6 loads feed 8 multiply-adds
-// per k step, triple the flop/load ratio of a naive dot product, and
-// the 8 independent accumulator chains hide the FP add latency that
-// bounds a single-accumulator loop. The tile is deliberately 2×4, not
-// 4×4: 8 accumulators + 6 operands fit amd64's 16 float registers,
-// where a 4×4 tile's 16 accumulators spill to the stack every
-// iteration. With n = 61, one padded 64×61 B pack is ~31 KiB —
-// L1/L2-resident for the whole product.
+// (j0+r, p) at panel[p·NR+r]), so a tile loads one contiguous 4-wide
+// strip of B per k step. A needs no packing: its rows are already
+// k-contiguous in row-major storage. With n = 61, one padded 64×61 B
+// pack is ~31 KiB — L1/L2-resident for the whole product.
+//
+// Two tiles share that layout. On amd64 with AVX (tiles_amd64.s) rows
+// go four at a time through a 4×4 tile: each row of A keeps one ymm
+// accumulator whose lane q is column j0+q, A[i][p] is broadcast
+// against the B strip, and one call walks every panel. Five loads
+// (one strip, four broadcasts) feed 16 multiplies and 16 adds per k
+// step, twice the Go tile's 8 per 6. The rows left over, and every row
+// under the purego tag, on other architectures or on CPUs without
+// AVX, go through the Go tiles: micro2x4 on row pairs and micro1x4 on
+// an odd last row. They stay 2×4 because amd64 has 16 scalar float
+// registers: 8 accumulators + 6 operands fit, a 4×4 tile's 16
+// accumulators would spill every iteration.
 //
 // Bit-exactness: every output element keeps its own accumulator,
-// summed over p in ascending order exactly like the textbook reference;
-// packing only relocates values. Padded B lanes of the last panel
-// accumulate into lanes that are never written back, so they cannot
-// contaminate real outputs. Row i's operation sequence is independent
-// of lo/hi and of which rows share a tile, preserving the engine's
-// split-anywhere determinism.
+// summed over p in ascending order exactly like the textbook reference,
+// with α applied once to the finished sum; packing only relocates
+// values. The AVX tile multiplies and adds in separate instructions
+// and never fuses (Go on amd64 fuses only an explicit math.FMA), so
+// each lane rounds exactly like the scalar accumulator it replaces.
+// Padded B lanes of the last panel accumulate into lanes that are
+// never written back, so they cannot contaminate real outputs. Row
+// i's operation sequence is independent of lo/hi and of which tile or
+// rows it shares, preserving the engine's split-anywhere determinism.
 var BlockedKernel Kernel = blockedKernel{}
 
 type blockedKernel struct{}
 
 const (
-	packMR = 2 // register tile height (rows of A / C)
-	packNR = 4 // register tile width (rows of B = columns of C)
+	packMR = 2 // Go tile height (rows of A / C)
+	packNR = 4 // tile width (rows of B = columns of C) and panel width
 )
 
 func (blockedKernel) Name() string { return "blocked" }

@@ -14,6 +14,18 @@
 // engine. Hand-rolled vs tuned arithmetic is chosen by kernel, and
 // each engine names its kernel. The Naive* functions are also the
 // oracles the tests check both kernels against.
+//
+// On amd64, BlockedKernel and Dgemv's no-transpose case run AVX tiles
+// (tiles_amd64.s) that give the Go code's bits: a CPUID/XGETBV check
+// at init requires AVX, OSXSAVE and OS-saved YMM state (XCR0 bits
+// 1–2), and every other machine, and any build with the purego tag,
+// runs the Go tiles alone. The tiles multiply and add in separate
+// VMULPD/VADDPD instructions and never fuse (VFMADD rounds once where
+// the Go code rounds twice, and Go on amd64 fuses only an explicit
+// math.FMA), and each ymm lane is one of the Go code's accumulators
+// summed in the same order, so a lane's result is the scalar result
+// bit for bit. Nothing selects a tile: no flag, option or kernel name
+// changes.
 package blas
 
 import "math"

@@ -4,7 +4,10 @@ import "repro/internal/mat"
 
 // Dgemv computes y ← αAx + βy (trans == false) or y ← αAᵀx + βy
 // (trans == true). Dimensions are checked against the operation
-// actually performed.
+// actually performed. With trans == false, y[i] gets α·Ddot(row i, x)
+// in Ddot's bits: lanes s0…s3 over x[4j+l], then ((s0+s1)+s2)+s3,
+// then the n%4 tail. The AVX tile computes four rows per call with
+// those lanes in one ymm per row.
 func Dgemv(trans bool, alpha float64, a *mat.Matrix, x []float64, beta float64, y []float64) {
 	m, n := a.Rows, a.Cols
 	if trans {
@@ -29,8 +32,7 @@ func Dgemv(trans bool, alpha float64, a *mat.Matrix, x []float64, beta float64, 
 	if !trans {
 		// Row-major, no-transpose: each y[i] is a dot product with a
 		// contiguous row — the cache-friendly orientation. The AVX tile
-		// takes rows four at a time where it runs (each row keeps
-		// Ddot's lanes and order); Ddot takes the rest.
+		// takes whole row quads where it runs; Ddot takes the rest.
 		for i := gemvQuads(alpha, a, x, y); i < m; i++ {
 			y[i] += alpha * Ddot(a.Row(i), x)
 		}

@@ -36,13 +36,18 @@ func ntQuads(alpha float64, a *mat.Matrix, pb *PackedB, c *mat.Matrix, lo, hi in
 	}
 	n, k := pb.rows, pb.depth
 	bp := pb.buf[:(n+packNR-1)/packNR*packNR*k]
-	i := lo
-	for ; i+4 <= hi; i += 4 {
-		_ = a.Row(i + 3)[:k]
-		_ = c.Row(i + 3)[:n]
+	end := lo + (hi-lo)/4*4
+	if end == lo {
+		return lo
+	}
+	// The tile reads k entries of every row of A and writes n of every
+	// row of C up to end; the last row bounds all of them.
+	_ = a.Row(end - 1)[:k]
+	_ = c.Row(end - 1)[:n]
+	for i := lo; i < end; i += 4 {
 		ntQuadAVX(a.Data[i*a.Stride:], a.Stride, k, bp, n, alpha, c.Data[i*c.Stride:], c.Stride)
 	}
-	return i
+	return end
 }
 
 // gemvQuads adds α·(row i of A)·x to y[i] four rows at a time, each
@@ -53,15 +58,20 @@ func gemvQuads(alpha float64, a *mat.Matrix, x, y []float64) int {
 	if !useAVX || len(x) < 4 {
 		return 0
 	}
+	end := a.Rows / 4 * 4
+	if end == 0 {
+		return 0
+	}
+	// The tile reads len(x) = a.Cols entries of every row up to end;
+	// the last row bounds all of them.
+	_ = a.Row(end - 1)
 	var d [4]float64
-	i := 0
-	for ; i+4 <= a.Rows; i += 4 {
-		_ = a.Row(i + 3)
+	for i := 0; i < end; i += 4 {
 		dotQuadAVX(a.Data[i*a.Stride:], a.Stride, x, &d)
 		y[i] += alpha * d[0]
 		y[i+1] += alpha * d[1]
 		y[i+2] += alpha * d[2]
 		y[i+3] += alpha * d[3]
 	}
-	return i
+	return end
 }

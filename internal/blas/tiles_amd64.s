@@ -60,6 +60,8 @@ TEXT ·ntQuadAVX(SB), NOSPLIT, $0-112
 	LEAQ (R8)(AX*1), R9
 	LEAQ (R9)(AX*1), R10
 	LEAQ (R10)(AX*1), R11
+	CMPQ CX, $0
+	JLE  done
 
 panel:
 	VXORPD Y0, Y0, Y0
