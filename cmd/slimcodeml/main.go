@@ -37,9 +37,7 @@
 // completed gene is checkpointed to a ledger beside -out, and rerunning
 // the identical command after a crash or Ctrl-C continues from the
 // last checkpointed gene, producing output byte-identical to an
-// uninterrupted run. -countcache maintains a sidecar per-gene codon
-// count cache so the -sharefreq pre-pass stops re-reading every
-// alignment once warm.
+// uninterrupted run.
 package main
 
 import (
@@ -71,7 +69,6 @@ func main() {
 		dirPath   = flag.String("dir", "", "batch mode: directory pairing NAME.{fasta,fa,fna,phy,phylip} with NAME.{nwk,tree,newick}")
 		shard     = flag.String("shard", "", "batch modes: run only shard i of n (\"i/n\", 1-based) of the manifest rows — one process per shard scales a manifest across machines; JSONL outputs concatenate")
 		resume    = flag.Bool("resume", false, "batch modes (JSONL -out): checkpoint every gene to <out>.ckpt and continue a killed run from its last checkpoint; rerun the identical command to resume")
-		countCach = flag.String("countcache", "", "batch modes: sidecar codon-count cache file for the -sharefreq pre-pass (warm cache = metadata-only pass)")
 		cacheDir  = flag.String("cachedir", "", "batch modes: cross-run warm cache directory — re-runs of already-analyzed rows replay byte-identically with zero fitting")
 		outPath   = flag.String("out", "", "batch modes: results file (.jsonl or .tsv; empty = TSV on stdout)")
 		outFmt    = flag.String("outfmt", "auto", "batch output format: jsonl, tsv or auto (by -out extension)")
@@ -115,7 +112,7 @@ func main() {
 			maniPath: *maniPath, dirPath: *dirPath, seqPaths: seqPaths, treePath: *treePath,
 			format: *format, opts: opts, jobs: *jobs, workers: *workers, prefetch: *prefetch,
 			shareFreq: *shareFreq, shard: *shard, outPath: *outPath,
-			outFmt: *outFmt, resume: *resume, countCache: *countCach,
+			outFmt: *outFmt, resume: *resume,
 			cacheDir: *cacheDir,
 		})
 	default:
@@ -144,7 +141,6 @@ type streamConfig struct {
 	shareFreq                 bool
 	shard, outPath, outFmt    string
 	resume                    bool
-	countCache                string
 	cacheDir                  string
 }
 
@@ -179,10 +175,6 @@ func runStream(cfg streamConfig) error {
 	if err != nil {
 		return err
 	}
-	var counts *manifest.CountCache
-	if cfg.countCache != "" {
-		counts = manifest.OpenCountCache(cfg.countCache)
-	}
 	var store *persistcache.Store
 	if cfg.cacheDir != "" {
 		if store, err = persistcache.Open(cfg.cacheDir); err != nil {
@@ -215,7 +207,7 @@ func runStream(cfg streamConfig) error {
 	fmt.Fprintf(status, "SlimCodeML streaming batch: %d genes%s, %s engine\n", len(entries), shardNote, cfg.opts.Engine)
 
 	if cfg.resume {
-		return runCheckpointed(ctx, cfg, entries, afmt, counts, sopts, status)
+		return runCheckpointed(ctx, cfg, entries, afmt, sopts, status)
 	}
 
 	// Status lines share stdout only when the results go to a file.
@@ -251,11 +243,7 @@ func runStream(cfg streamConfig) error {
 		return fmt.Errorf("unknown output format %q (want jsonl or tsv)", cfg.outFmt)
 	}
 
-	src := core.NewManifestSource(entries, afmt)
-	if counts != nil {
-		src.WithCountCache(counts)
-	}
-	summary, err := core.RunBatchStream(ctx, src, sink, sopts)
+	summary, err := core.RunBatchStream(ctx, core.NewManifestSource(entries, afmt), sink, sopts)
 	if err != nil {
 		finish()
 		if errors.Is(err, context.Canceled) {
@@ -295,7 +283,7 @@ func streamEntries(cfg streamConfig) ([]manifest.Entry, error) {
 // runCheckpointed executes the -resume path: a checkpointed run via
 // the ledger beside -out, continuing any previous checkpointed run of
 // the identical command.
-func runCheckpointed(ctx context.Context, cfg streamConfig, entries []manifest.Entry, afmt align.Format, counts *manifest.CountCache, sopts core.StreamOptions, status io.Writer) error {
+func runCheckpointed(ctx context.Context, cfg streamConfig, entries []manifest.Entry, afmt align.Format, sopts core.StreamOptions, status io.Writer) error {
 	if cfg.outPath == "" {
 		return fmt.Errorf("-resume needs -out (checkpoints live beside the results file)")
 	}
@@ -307,7 +295,6 @@ func runCheckpointed(ctx context.Context, cfg streamConfig, entries []manifest.E
 		Format:  afmt,
 		OutPath: cfg.outPath,
 		Opts:    sopts,
-		Counts:  counts,
 		OnStart: func(completed, failed int) {
 			if completed > 0 {
 				fmt.Fprintf(status, "resume: %d/%d genes already checkpointed (%d failed), continuing\n", completed, len(entries), failed)

@@ -83,7 +83,6 @@ func main() {
 		seed        = flag.Int64("seed", 1, "seed for the starting parameter values")
 		m0start     = flag.Bool("m0start", false, "initialize branch lengths from an M0 pre-fit")
 		shareFreq   = flag.Bool("sharefreq", false, "pool codon frequencies over the whole manifest in a coordinator pre-pass and pin every shard's job to them")
-		countCache  = flag.String("countcache", "", "codon-count cache file the -sharefreq pre-pass consults and updates")
 		jobs        = flag.Int("jobs", 0, "genes fitted concurrently within each daemon job (0 = daemon's GOMAXPROCS)")
 		prefetch    = flag.Int("prefetch", 0, "genes resident at once within each daemon job (0 = 2×jobs)")
 		quiet       = flag.Bool("quiet", false, "suppress the progress event log")
@@ -153,7 +152,6 @@ func main() {
 		OutPath:      *outPath,
 		MaxResubmits: *resubmits,
 		Purge:        *purge,
-		CountCache:   *countCache,
 		Token:        *token,
 		Spec: serve.JobSpec{
 			Engine:           *engine,

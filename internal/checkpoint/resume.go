@@ -2,14 +2,12 @@ package checkpoint
 
 import (
 	"bufio"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 
 	"repro/internal/align"
-	"repro/internal/codon"
 	"repro/internal/core"
 	"repro/internal/manifest"
 	"repro/internal/persistcache"
@@ -104,16 +102,15 @@ type skipper interface{ Skip(n int) error }
 // checkpointed prefix — after construction and again after every
 // Reset. Sources implementing Skip(n) (ManifestSource) skip without
 // touching the completed genes' files; any other source has its
-// skipped genes drained via Next. If the underlying source pools
-// counts (core.PooledCounter), the wrapper delegates to it, so a
-// shared-frequency pass over a resumed source still covers the whole
-// manifest.
+// skipped genes drained via Next.
+//
+// The shared-frequency pre-pass never runs over a wrapped source: it
+// would pool only the genes after the prefix. Run, the only caller,
+// resolves π on the raw source first (or replays the ledger's π) and
+// wraps it afterwards.
 func Resume(src core.ReplayableSource, skip int) core.ReplayableSource {
 	if skip <= 0 {
 		return src
-	}
-	if _, ok := src.(core.PooledCounter); ok {
-		return &resumedCountingSource{resumedSource{src: src, skip: skip}}
 	}
 	return &resumedSource{src: src, skip: skip}
 }
@@ -165,14 +162,6 @@ func (r *resumedSource) AttachPersist(store *persistcache.Store, fingerprint str
 	if pa, ok := r.src.(core.PersistAttacher); ok {
 		pa.AttachPersist(store, fingerprint, false)
 	}
-}
-
-// resumedCountingSource additionally forwards PooledCounts to the
-// underlying source (which covers all genes regardless of position).
-type resumedCountingSource struct{ resumedSource }
-
-func (r *resumedCountingSource) PooledCounts(ctx context.Context, gc *codon.GeneticCode) ([]float64, [3][4]float64, error) {
-	return r.src.(core.PooledCounter).PooledCounts(ctx, gc)
 }
 
 // OpenOutput opens the results file of a checkpointed run positioned

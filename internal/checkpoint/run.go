@@ -26,9 +26,6 @@ type RunConfig struct {
 	// Opts configures the stream. ShareFrequencies runs compute π once
 	// and record it in the ledger; resumed runs replay it.
 	Opts core.StreamOptions
-	// Counts, when non-nil, is the sidecar count cache the
-	// shared-frequency pre-pass consults.
-	Counts *manifest.CountCache
 	// OnStart, when set, is called once with the already-checkpointed
 	// progress before any new gene is fitted.
 	OnStart func(completed, failed int)
@@ -99,9 +96,6 @@ func Run(ctx context.Context, cfg RunConfig) (*core.StreamSummary, error) {
 	defer out.Close()
 
 	src := core.NewManifestSource(cfg.Entries, cfg.Format)
-	if cfg.Counts != nil {
-		src.WithCountCache(cfg.Counts)
-	}
 	opts := cfg.Opts
 	if opts.ShareFrequencies && opts.Frequencies == nil {
 		if plan.Frequencies != nil {

@@ -1,14 +1,12 @@
 package core
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"os"
 	"strings"
 
 	"repro/internal/align"
-	"repro/internal/codon"
 	"repro/internal/manifest"
 	"repro/internal/newick"
 	"repro/internal/persistcache"
@@ -23,15 +21,12 @@ import (
 // Reset rewinds to the first entry, so the source satisfies
 // ReplayableSource and supports the two-pass shared-frequency path.
 // Replaying re-reads (and re-encodes) every file: bounded memory is
-// bought with one extra pass of I/O — or, with a sidecar count cache
-// attached (WithCountCache), with a metadata-only pass after the first
-// run. Use manifest.Load or manifest.ScanDir to build verified
-// entries.
+// bought with one extra pass of I/O. Use manifest.Load or
+// manifest.ScanDir to build verified entries.
 type ManifestSource struct {
 	entries []manifest.Entry
 	format  align.Format
 	next    int
-	counts  *manifest.CountCache
 
 	// Cross-run result store, attached by RunBatchStream (see
 	// AttachPersist): already-analyzed rows are yielded as replay
@@ -45,14 +40,6 @@ type ManifestSource struct {
 // alignments in the given format (align.FormatAuto sniffs each file).
 func NewManifestSource(entries []manifest.Entry, format align.Format) *ManifestSource {
 	return &ManifestSource{entries: entries, format: format}
-}
-
-// WithCountCache attaches a sidecar codon-count cache consulted (and
-// refilled) by PooledCounts, making the shared-frequency pre-pass
-// metadata-only once warm. Returns the source for chaining.
-func (s *ManifestSource) WithCountCache(c *manifest.CountCache) *ManifestSource {
-	s.counts = c
-	return s
 }
 
 // AttachPersist implements PersistAttacher: subsequent Next calls
@@ -148,80 +135,6 @@ func (s *ManifestSource) Skip(n int) error {
 	}
 	s.next += n
 	return nil
-}
-
-// PooledCounts implements the shared-frequency pre-pass over the whole
-// manifest (independent of the source's position, which it leaves
-// untouched). Each gene's alignment is stat'ed; when the attached
-// count cache holds an entry matching the file's size, mtime and the
-// genetic code, the cached counts are pooled without reading the file,
-// otherwise the alignment is loaded, encoded and counted (and the
-// cache refilled). Genes whose alignment or tree cannot be loaded
-// contribute nothing — exactly as the streamed pass skips unloadable
-// genes (a warm cache therefore spares the alignment reads, the
-// expensive part, while the tiny tree files are still parsed to keep
-// the skip set identical); such genes surface as per-gene error rows
-// in the fit pass. An alignment that loads but does not encode under
-// the code aborts the pass, matching the streamed behaviour.
-func (s *ManifestSource) PooledCounts(ctx context.Context, gc *codon.GeneticCode) ([]float64, [3][4]float64, error) {
-	codonCounts := make([]float64, gc.NumStates())
-	var nucCounts [3][4]float64
-	for _, e := range s.entries {
-		if err := ctx.Err(); err != nil {
-			return nil, nucCounts, err
-		}
-		// Unloadable gene: no counts, error row in pass two.
-		if _, err := ReadTreeFile(e.TreePath); err != nil {
-			continue
-		}
-		info, statErr := os.Stat(e.AlignPath)
-		if statErr != nil {
-			continue
-		}
-		size, mtime := info.Size(), info.ModTime().UnixNano()
-		if s.counts != nil {
-			if cc, ok := s.counts.Lookup(e.Name, size, mtime, gc.Name()); ok {
-				addCounts(codonCounts, &nucCounts, cc.Codon, cc.Nuc)
-				continue
-			}
-		}
-		a, err := align.ReadFile(e.AlignPath, s.format)
-		if err != nil {
-			continue
-		}
-		ca, err := align.EncodeCodons(a, gc)
-		if err != nil {
-			return nil, nucCounts, fmt.Errorf("gene %s: %w", e.Name, err)
-		}
-		pats := align.Compress(ca)
-		cc := manifest.CachedCounts{
-			Size: size, MTimeNS: mtime, Code: gc.Name(),
-			Codon: pats.CountCodonsCompressed(),
-			Nuc:   pats.NucCountsByPositionCompressed(),
-		}
-		addCounts(codonCounts, &nucCounts, cc.Codon, cc.Nuc)
-		if s.counts != nil {
-			s.counts.Store(e.Name, cc)
-		}
-	}
-	if s.counts != nil {
-		if err := s.counts.Save(); err != nil {
-			return nil, nucCounts, err
-		}
-	}
-	return codonCounts, nucCounts, nil
-}
-
-// addCounts pools one gene's contribution into the running totals.
-func addCounts(codonCounts []float64, nucCounts *[3][4]float64, cc []float64, nc [3][4]float64) {
-	for i, v := range cc {
-		codonCounts[i] += v
-	}
-	for p := range nc {
-		for b := range nc[p] {
-			nucCounts[p][b] += nc[p][b]
-		}
-	}
 }
 
 // ReadTreeFile parses a Newick tree file.

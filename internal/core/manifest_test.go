@@ -59,3 +59,29 @@ func TestManifestSharedFrequenciesMatchSlice(t *testing.T) {
 		}
 	}
 }
+
+func TestManifestSourceSkip(t *testing.T) {
+	genes := streamGenes(t, 4)
+	entries := writeManifestDir(t, genes)
+	src := NewManifestSource(entries, align.FormatAuto)
+	if err := src.Skip(2); err != nil {
+		t.Fatal(err)
+	}
+	g, err := src.Next()
+	if err != nil || g == nil {
+		t.Fatalf("Next after Skip: %v, %v", g, err)
+	}
+	if g.Name != entries[2].Name {
+		t.Fatalf("Skip(2) then Next yields %s, want %s", g.Name, entries[2].Name)
+	}
+	if err := src.Skip(2); err == nil {
+		t.Fatal("skip past the end accepted")
+	}
+	if err := src.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	g, err = src.Next()
+	if err != nil || g == nil || g.Name != entries[0].Name {
+		t.Fatalf("Reset did not rewind: %v, %v", g, err)
+	}
+}

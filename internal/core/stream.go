@@ -32,21 +32,6 @@ type ReplayableSource interface {
 	Reset() error
 }
 
-// PooledCounter is the fast path for the shared-frequency pre-pass: a
-// source that can pool every gene's codon and per-position nucleotide
-// counts itself (e.g. from a sidecar count cache) instead of having the
-// driver load and encode each gene. PooledCounts must cover every gene
-// the source describes — independent of its current position, which it
-// must leave untouched — and must pool in source order with the exact
-// float64 values the per-gene encode would produce, so the fast path
-// is bit-identical to the streamed pass.
-type PooledCounter interface {
-	// PooledCounts returns summed sense-codon counts (F61 input) and
-	// per-position nucleotide counts (F3x4 input) over all genes under
-	// the genetic code.
-	PooledCounts(ctx context.Context, gc *codon.GeneticCode) (codonCounts []float64, nucCounts [3][4]float64, err error)
-}
-
 // ResultSink consumes per-gene results. RunBatchStream delivers
 // results in source order, exactly once per gene, from a single
 // goroutine. A Write error aborts the stream.
@@ -396,6 +381,11 @@ func runGene(g *Gene, opts Options) GeneResult {
 // when ShareFrequencies is set. Callers that persist π (the checkpoint
 // ledger records it so a resumed run reuses the identical vector) run
 // this first and pass the result via Options.Frequencies.
+//
+// π pools every gene src yields from its current position, then src
+// is rewound. Pass the whole collection, unwrapped and before any
+// persistent store is attached: a source that skips a checkpointed
+// prefix or yields replayed results would pool only part of it.
 func SharedFrequencies(ctx context.Context, src ReplayableSource, opts Options) ([]float64, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -408,23 +398,14 @@ func SharedFrequencies(ctx context.Context, src ReplayableSource, opts Options) 
 // streams every gene once, pooling codon counts with the batch's Freq
 // estimator, then rewinds the source. Each gene's encode+compress
 // product is cached on the Gene, so sources that replay the same Gene
-// values (SliceSource) encode exactly once across
-// both passes; sources that reload genes from disk pay one extra
-// encode per gene, never O(collection) memory — unless they implement
-// PooledCounter (ManifestSource with its sidecar count cache), in
-// which case the pass is delegated to the source and a warm cache
-// makes it metadata-only.
+// values (SliceSource) encode exactly once across both passes; sources
+// that reload genes from disk (ManifestSource) pay one extra read and
+// encode per gene, never O(collection) memory. Genes that fail to load
+// contribute nothing here and surface as error rows in the fit pass.
 func streamedFrequencies(ctx context.Context, src ReplayableSource, opts *Options) ([]float64, error) {
 	gc := opts.Code
 	if opts.Freq == FreqUniform {
 		return codon.UniformFrequencies(gc), nil
-	}
-	if pc, ok := src.(PooledCounter); ok {
-		cc, nc, err := pc.PooledCounts(ctx, gc)
-		if err != nil {
-			return nil, fmt.Errorf("core: pooled counts: %w", err)
-		}
-		return finishFrequencies(opts, cc, nc)
 	}
 	codonCounts := make([]float64, gc.NumStates())
 	var nucCounts [3][4]float64

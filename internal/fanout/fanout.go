@@ -157,9 +157,6 @@ type Config struct {
 	// and pin every shard's job to the pooled π (Spec.Frequencies
 	// itself must be empty: the coordinator derives the vector).
 	Spec serve.JobSpec
-	// CountCache, when set, names a sidecar codon-count cache file the
-	// ShareFrequencies pre-pass consults and updates (manifest.CountCache).
-	CountCache string
 	// MaxResubmits caps how often one shard may be resubmitted after
 	// daemon failures before the run fails. Zero means exactly that —
 	// fail on the first lost shard, no resubmission; a negative value
@@ -605,9 +602,6 @@ func (c *coord) poolFrequencies(ctx context.Context, entries []manifest.Entry) (
 		return nil, err
 	}
 	src := core.NewManifestSource(entries, align.FormatAuto)
-	if c.cfg.CountCache != "" {
-		src.WithCountCache(manifest.OpenCountCache(c.cfg.CountCache))
-	}
 	c.log.Info("pooling codon counts for the shared frequency vector", "genes", len(entries))
 	return core.SharedFrequencies(ctx, src, core.Options{Freq: freq})
 }

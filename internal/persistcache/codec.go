@@ -13,8 +13,7 @@ import (
 const resultFileVersion = 2
 
 // FileMeta identifies the alignment and tree file versions a result
-// entry was computed from — the CountCache invalidation discipline.
-// The manifest row digest covers only the gene's name and paths, so
+// entry was computed from. The manifest row digest covers only the gene's name and paths, so
 // size+mtime carry the content identity: an edited input file
 // invalidates the entry instead of replaying a stale result.
 type FileMeta struct {

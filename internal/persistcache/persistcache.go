@@ -12,8 +12,8 @@
 // the record byte-identically with zero optimizer iterations; anything
 // less is a miss and the gene is fitted from its cold start.
 //
-// Every entry follows manifest.CountCache's discipline: writes go
-// through a temp file and atomic rename (concurrent processes sharing
+// Every entry follows one discipline: writes go through a temp file
+// and atomic rename (concurrent processes sharing
 // a cache directory are last-writer-wins, readers never see a torn
 // file), every entry carries a sha256 checksum over its payload, and
 // any defect on read — missing file, bad JSON, checksum or identity
@@ -129,9 +129,8 @@ func StatFile(path string) (size, mtimeNS int64, ok bool) {
 }
 
 // writeAtomic writes data to path via a temp file in the same
-// directory and an atomic rename — the CountCache discipline, so
-// concurrent writers are last-writer-wins and readers never observe a
-// torn entry.
+// directory and an atomic rename, so concurrent writers are
+// last-writer-wins and readers never observe a torn entry.
 func writeAtomic(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")

@@ -216,7 +216,7 @@ func (c *Client) Cancel(ctx context.Context, id string) (Status, error) {
 	return st, err
 }
 
-// Purge removes a finished job and its results+ledger(+counts) files
+// Purge removes a finished job and its results, ledger and spec files
 // from the daemon's data directory (DELETE /jobs/{id}?purge=1) —
 // how a fan-out coordinator cleans up after collecting a shard.
 func (c *Client) Purge(ctx context.Context, id string) error {

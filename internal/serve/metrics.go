@@ -37,8 +37,6 @@ type serverMetrics struct {
 	httpSeconds  *obs.HistogramVec // route
 	jobEvents    *obs.CounterVec   // event
 	activeJobs   *obs.Gauge
-	countHits    *obs.Counter
-	countMisses  *obs.Counter
 
 	// Follow-mode streaming (always registered: follow is not gated on
 	// tenancy).
@@ -75,10 +73,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 			"Job lifecycle events (submitted, done, failed, cancelled, interrupted, recovered, requeued, recovery_failed, swept, purged).", "event"),
 		activeJobs: r.Gauge("slimcodemld_active_jobs",
 			"Jobs in the running state right now."),
-		countHits: r.Counter("slimcodemld_countcache_hits_total",
-			"Sidecar codon-count cache hits across all jobs' shared-frequency pre-passes."),
-		countMisses: r.Counter("slimcodemld_countcache_misses_total",
-			"Sidecar codon-count cache misses across all jobs' shared-frequency pre-passes."),
 		followStreams: r.Counter("slimcodemld_follow_streams_total",
 			"Follow-mode result streams opened (GET /jobs/{id}/results?follow=1)."),
 		followActive: r.Gauge("slimcodemld_follow_streams_active",

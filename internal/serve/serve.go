@@ -192,7 +192,7 @@ type TenantHealth struct {
 // CacheHealth is the cache section of the /healthz payload. Every
 // number here is read from the same source the equivalent /metrics
 // series reads at scrape time (lik.DecompCache.Stats, the persistent
-// store's counters, the server's count-cache counters), so the two
+// store's counters), so the two
 // endpoints can never disagree about cache effectiveness.
 type CacheHealth struct {
 	// DecompEntries / DecompHits / DecompMisses report the in-memory
@@ -203,10 +203,6 @@ type CacheHealth struct {
 	DecompHits      int `json:"decomp_hits"`
 	DecompMisses    int `json:"decomp_misses"`
 	DecompEvictions int `json:"decomp_evictions"`
-	// CountHits / CountMisses aggregate the per-job sidecar codon-count
-	// caches (manifest.CountCache) across every job the daemon has run.
-	CountHits   int `json:"count_hits"`
-	CountMisses int `json:"count_misses"`
 	// Persist holds the persistent store's hit/miss/write counters;
 	// absent when no cache directory is configured.
 	Persist *persistcache.Counters `json:"persist,omitempty"`
@@ -272,7 +268,7 @@ type Job struct {
 	digest  string // manifest.Digest(entries); immutable after creation
 	opts    core.StreamOptions
 
-	outPath, ledgerPath, countsPath, specPath string
+	outPath, ledgerPath, specPath string
 
 	mu        sync.Mutex
 	state     string
@@ -559,15 +555,15 @@ func (s *Server) tenantsWatcher() {
 // (a var so tests can tighten it).
 var tenantsPollInterval = time.Second
 
-// Purge removes a finished job entirely: its results, ledger, counts
-// and spec files are deleted from the data directory and the job
-// disappears from the listing — how callers (a fan-out coordinator
-// collecting shards, or the -retain sweep) bound the data directory,
-// which otherwise grows one results+ledger(+counts) triple per job
-// forever. Queued and running jobs are refused with ErrJobActive;
-// cancel them first. The cross-run cache (Config.CacheDir) is never
-// touched: purging removes exactly the four per-job paths, and cache
-// files live in their own directory tree.
+// Purge removes a finished job entirely: its results, ledger and spec
+// files are deleted from the data directory and the job disappears
+// from the listing — how callers (a fan-out coordinator collecting
+// shards, or the -retain sweep) bound the data directory, which
+// otherwise grows one results+ledger+spec triple per job forever.
+// Queued and running jobs are refused with ErrJobActive; cancel them
+// first. The cross-run cache (Config.CacheDir) is never touched:
+// purging removes exactly the per-job paths, and cache files live in
+// their own directory tree.
 func (s *Server) Purge(id string) error { return s.purge(id, eventPurged) }
 
 // purge implements Purge; event distinguishes caller-driven purges
@@ -587,7 +583,11 @@ func (s *Server) purge(id, event string) error {
 	}
 	// Files first: a removal failure leaves the job listed so the purge
 	// can be retried.
-	for _, p := range []string{job.outPath, job.ledgerPath, job.countsPath, job.specPath} {
+	// <id>.counts is the per-job codon-count cache that daemons before
+	// its removal wrote; it stays on the list so their data
+	// directories do not leak one file per purged job.
+	legacyCounts := filepath.Join(s.cfg.DataDir, id+".counts")
+	for _, p := range []string{job.outPath, job.ledgerPath, job.specPath, legacyCounts} {
 		if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
 			return fmt.Errorf("serve: purge %s: %w", id, err)
 		}
@@ -685,8 +685,6 @@ func (s *Server) cacheHealth() *CacheHealth {
 		DecompHits:      hits,
 		DecompMisses:    misses,
 		DecompEvictions: s.cache.Evictions(),
-		CountHits:       int(s.met.countHits.Value()),
-		CountMisses:     int(s.met.countMisses.Value()),
 	}
 	if s.store != nil {
 		c := s.store.Counters()
@@ -1035,13 +1033,11 @@ func (s *Server) runJob(job *Job) {
 	s.met.activeJobs.Inc()
 	defer s.met.activeJobs.Dec()
 
-	counts := manifest.OpenCountCache(job.countsPath)
 	sum, err := checkpoint.Run(ctx, checkpoint.RunConfig{
 		Entries: job.entries,
 		Format:  s.cfg.Format,
 		OutPath: job.outPath,
 		Opts:    job.opts,
-		Counts:  counts,
 		OnStart: func(completed, failed int) {
 			job.mu.Lock()
 			job.setLocked(job.state, completed, failed)
@@ -1059,13 +1055,6 @@ func (s *Server) runJob(job *Job) {
 			job.mu.Unlock()
 		},
 	})
-
-	// The job's count-cache Lookup outcomes roll up into the daemon-wide
-	// counters /metrics and /healthz both read. checkpoint.Run has
-	// returned, so the cache's owning goroutine is done with it.
-	ch, cm := counts.Stats()
-	s.met.countHits.Add(float64(ch))
-	s.met.countMisses.Add(float64(cm))
 
 	job.mu.Lock()
 	defer job.mu.Unlock()
@@ -1110,7 +1099,6 @@ func (s *Server) newJob(id string, spec JobSpec, entries []manifest.Entry, opts 
 		id: id, tenant: spec.Tenant, spec: spec, entries: entries, digest: digest, opts: opts,
 		outPath:    base + ".jsonl",
 		ledgerPath: checkpoint.LedgerPath(base + ".jsonl"),
-		countsPath: base + ".counts",
 		specPath:   base + ".job.json",
 		state:      StateQueued,
 		total:      len(entries),
