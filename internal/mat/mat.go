@@ -80,9 +80,19 @@ func (m *Matrix) Set(i, j int, v float64) {
 // Row returns a slice aliasing row i.
 func (m *Matrix) Row(i int) []float64 {
 	if i < 0 || i >= m.Rows {
-		panic(fmt.Sprintf("mat: row %d out of range %d", i, m.Rows))
+		panic(rowRangeError{i, m.Rows})
 	}
 	return m.Data[i*m.Stride : i*m.Stride+m.Cols]
+}
+
+// rowRangeError is Row's panic value. It formats its message only when
+// printed: a fmt.Sprintf call inside Row would cost more than the
+// compiler's inlining budget, and Row sits in the innermost loops of
+// the BLAS and the likelihood engine.
+type rowRangeError struct{ i, rows int }
+
+func (e rowRangeError) Error() string {
+	return fmt.Sprintf("mat: row %d out of range %d", e.i, e.rows)
 }
 
 // Clone returns a deep copy with a compact stride.

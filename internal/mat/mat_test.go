@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -93,6 +94,35 @@ func TestAtSetBounds(t *testing.T) {
 				}
 			}()
 			f()
+		}()
+	}
+}
+
+// An out-of-range Row panics on either side of the range with an error
+// whose text names the row and the row count.
+func TestRowOutOfRangeMessage(t *testing.T) {
+	m := New(3, 2)
+	for _, tc := range []struct {
+		i    int
+		want string
+	}{
+		{-1, "mat: row -1 out of range 3"},
+		{3, "mat: row 3 out of range 3"},
+	} {
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatalf("Row(%d) did not panic", tc.i)
+				}
+				if _, ok := r.(error); !ok {
+					t.Fatalf("Row(%d) panicked with %T, want an error", tc.i, r)
+				}
+				if got := fmt.Sprint(r); got != tc.want {
+					t.Fatalf("Row(%d) panic = %q, want %q", tc.i, got, tc.want)
+				}
+			}()
+			m.Row(tc.i)
 		}()
 	}
 }
