@@ -292,16 +292,7 @@ func (an *Analysis) Run() (*TestResult, error) {
 	}
 	// The H1 fit left the engine at its optimum, where the site
 	// posteriors are taken.
-	post := an.eng.ClassPosteriors()
-	prob := lik.ClassMassProbability(post, bsm.Class2a, bsm.Class2b)
-
-	var sites []SiteSelection
-	for site, pat := range an.pats.SiteToPattern {
-		if prob[pat] > 0.5 {
-			sites = append(sites, SiteSelection{Site: site + 1, Probability: prob[pat]})
-		}
-	}
-	sortSites(sites)
+	sites := positiveSites(an.eng, an.pats, bsm.Class2a, bsm.Class2b)
 
 	return &TestResult{
 		Engine:          an.opts.Engine,
@@ -312,6 +303,21 @@ func (an *Analysis) Run() (*TestResult, error) {
 		TotalRuntime:    time.Since(start),
 		TotalIterations: h0.Iterations + h1.Iterations,
 	}, nil
+}
+
+// positiveSites is the NEB positive-site list at the engine's current
+// (fitted) parameters: the sites whose posterior mass in the given
+// classes exceeds 0.5, by descending probability.
+func positiveSites(eng *lik.Engine, pats *align.Patterns, classes ...int) []SiteSelection {
+	prob := lik.ClassMassProbability(eng.ClassPosteriors(), classes...)
+	var sites []SiteSelection
+	for site, pat := range pats.SiteToPattern {
+		if prob[pat] > 0.5 {
+			sites = append(sites, SiteSelection{Site: site + 1, Probability: prob[pat]})
+		}
+	}
+	sortSites(sites)
+	return sites
 }
 
 func sortSites(s []SiteSelection) {
@@ -329,30 +335,6 @@ func sortSites(s []SiteSelection) {
 // engine; afterwards callers typically proceed to Fit/Run, which
 // reinstall the branch-site model.
 func (an *Analysis) FitM0() (*SiteFitResult, error) {
-	begin := time.Now()
-	spec := siteSpec(ModelM0)
 	init := &SiteFitResult{Kind: ModelM0, Kappa: 2, Omega: 0.4}
-	x0 := spec.pack(init)
-	startLens := an.tree.BranchLengths()
-	for _, id := range an.eng.BranchIDs() {
-		x0 = append(x0, trBranch.Internal(math.Max(startLens[id], 1e-6)))
-	}
-	f := newFitter(an.eng, spec.nModel, func(modelX []float64) (lik.Model, error) {
-		return spec.build(an.opts.Code, an.pi, modelX)
-	}, an.opts.Engine.optOptions(an.opts.MaxIterations))
-	res, err := f.run(x0)
-	if err != nil {
-		return nil, err
-	}
-	out := &SiteFitResult{
-		Kind:          ModelM0,
-		LnL:           -res.F,
-		BranchLengths: an.eng.BranchLengths(),
-		Iterations:    res.Iterations,
-		FuncEvals:     res.FuncEvals,
-		Converged:     res.Converged,
-		Runtime:       time.Since(begin),
-	}
-	spec.read(res.X[:spec.nModel], out)
-	return out, nil
+	return fitSiteModel(an.eng, an.opts, an.pi, ModelM0, init, an.tree.BranchLengths())
 }

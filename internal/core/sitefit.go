@@ -154,7 +154,7 @@ func siteSpec(kind SiteModelKind) siteModelSpec {
 				return []float64{trKappa.Internal(r.Kappa), trKappa.Internal(r.Omega)}
 			},
 			build: func(gc *codon.GeneticCode, pi, x []float64) (lik.Model, error) {
-				return newM0Model(gc, pi, trKappa.External(x[0]), trKappa.External(x[1]))
+				return sitemodel.NewM0(gc, trKappa.External(x[0]), trKappa.External(x[1]), pi)
 			},
 			read: func(x []float64, dst *SiteFitResult) {
 				dst.Kappa = trKappa.External(x[0])
@@ -172,7 +172,7 @@ func siteSpec(kind SiteModelKind) siteModelSpec {
 				}
 			},
 			build: func(gc *codon.GeneticCode, pi, x []float64) (lik.Model, error) {
-				return newM1aModel(gc, pi, trKappa.External(x[0]), trOmega0.External(x[1]), trOmega0.External(x[2]))
+				return sitemodel.NewM1a(gc, trKappa.External(x[0]), trOmega0.External(x[1]), trOmega0.External(x[2]), pi)
 			},
 			read: func(x []float64, dst *SiteFitResult) {
 				dst.Kappa = trKappa.External(x[0])
@@ -194,8 +194,8 @@ func siteSpec(kind SiteModelKind) siteModelSpec {
 			},
 			build: func(gc *codon.GeneticCode, pi, x []float64) (lik.Model, error) {
 				props := trProp.External([]float64{x[3], x[4]})
-				return newM2aModel(gc, pi, trKappa.External(x[0]), trOmega0.External(x[1]),
-					trOmega2.External(x[2]), props[0], props[1])
+				return sitemodel.NewM2a(gc, trKappa.External(x[0]), trOmega0.External(x[1]),
+					trOmega2.External(x[2]), props[0], props[1], pi)
 			},
 			read: func(x []float64, dst *SiteFitResult) {
 				dst.Kappa = trKappa.External(x[0])
@@ -277,15 +277,22 @@ func (sa *SiteAnalysis) Fit(kind SiteModelKind) (*SiteFitResult, error) {
 // FitFrom maximizes the likelihood under the site model from the given
 // starting point (branch lengths indexed by node ID).
 func (sa *SiteAnalysis) FitFrom(kind SiteModelKind, init *SiteFitResult, startLens []float64) (*SiteFitResult, error) {
+	return fitSiteModel(sa.eng, sa.opts, sa.pi, kind, init, startLens)
+}
+
+// fitSiteModel maximizes the likelihood of a site model on eng from
+// init and startLens (indexed by node ID) under the frequencies pi —
+// the one fit body behind SiteAnalysis.FitFrom and Analysis.FitM0.
+func fitSiteModel(eng *lik.Engine, opts Options, pi []float64, kind SiteModelKind, init *SiteFitResult, startLens []float64) (*SiteFitResult, error) {
 	begin := time.Now()
 	spec := siteSpec(kind)
 	x0 := spec.pack(init)
-	for _, id := range sa.eng.BranchIDs() {
+	for _, id := range eng.BranchIDs() {
 		x0 = append(x0, trBranch.Internal(math.Max(startLens[id], 1e-6)))
 	}
-	f := newFitter(sa.eng, spec.nModel, func(modelX []float64) (lik.Model, error) {
-		return spec.build(sa.opts.Code, sa.pi, modelX)
-	}, sa.opts.Engine.optOptions(sa.opts.MaxIterations))
+	f := newFitter(eng, spec.nModel, func(modelX []float64) (lik.Model, error) {
+		return spec.build(opts.Code, pi, modelX)
+	}, opts.Engine.optOptions(opts.MaxIterations))
 	res, err := f.run(x0)
 	if err != nil {
 		return nil, err
@@ -293,7 +300,7 @@ func (sa *SiteAnalysis) FitFrom(kind SiteModelKind, init *SiteFitResult, startLe
 	out := &SiteFitResult{
 		Kind:          kind,
 		LnL:           -res.F,
-		BranchLengths: sa.eng.BranchLengths(),
+		BranchLengths: eng.BranchLengths(),
 		Iterations:    res.Iterations,
 		FuncEvals:     res.FuncEvals,
 		Converged:     res.Converged,
@@ -347,14 +354,7 @@ func (sa *SiteAnalysis) SiteTest() (*SiteTestResult, error) {
 	}
 
 	// NEB sites under the M2a fit (class index 2).
-	post := sa.eng.ClassPosteriors()
-	prob := lik.ClassMassProbability(post, 2)
-	for site, pat := range sa.pats.SiteToPattern {
-		if prob[pat] > 0.5 {
-			res.PositiveSites = append(res.PositiveSites, SiteSelection{Site: site + 1, Probability: prob[pat]})
-		}
-	}
-	sortSites(res.PositiveSites)
+	res.PositiveSites = positiveSites(sa.eng, sa.pats, 2)
 	return res, nil
 }
 
@@ -398,14 +398,7 @@ func (sa *SiteAnalysis) BetaSiteTest() (*BetaSiteTestResult, error) {
 		PValue:    stat.ChiSquareSF(statVal, 2),
 	}
 	// NEB sites under the M8 fit: the last class is the ωs class.
-	post := sa.eng.ClassPosteriors()
-	prob := lik.ClassMassProbability(post, sitemodel.DefaultBetaCategories)
-	for site, pat := range sa.pats.SiteToPattern {
-		if prob[pat] > 0.5 {
-			res.PositiveSites = append(res.PositiveSites, SiteSelection{Site: site + 1, Probability: prob[pat]})
-		}
-	}
-	sortSites(res.PositiveSites)
+	res.PositiveSites = positiveSites(sa.eng, sa.pats, sitemodel.DefaultBetaCategories)
 	return res, nil
 }
 
@@ -417,19 +410,4 @@ func clampProp(p float64) float64 {
 		return 0.96
 	}
 	return p
-}
-
-// Constructors adapting internal/sitemodel to lik.Model (kept as tiny
-// named helpers so siteSpec stays readable).
-
-func newM0Model(gc *codon.GeneticCode, pi []float64, kappa, omega float64) (lik.Model, error) {
-	return sitemodel.NewM0(gc, kappa, omega, pi)
-}
-
-func newM1aModel(gc *codon.GeneticCode, pi []float64, kappa, omega0, p0 float64) (lik.Model, error) {
-	return sitemodel.NewM1a(gc, kappa, omega0, p0, pi)
-}
-
-func newM2aModel(gc *codon.GeneticCode, pi []float64, kappa, omega0, omega2, p0, p1 float64) (lik.Model, error) {
-	return sitemodel.NewM2a(gc, kappa, omega0, omega2, p0, p1, pi)
 }
