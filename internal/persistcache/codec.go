@@ -13,9 +13,10 @@ import (
 const resultFileVersion = 2
 
 // FileMeta identifies the alignment and tree file versions a result
-// entry was computed from. The manifest row digest covers only the gene's name and paths, so
-// size+mtime carry the content identity: an edited input file
-// invalidates the entry instead of replaying a stale result.
+// entry was computed from. The manifest row digest covers only the
+// gene's name and paths, so size+mtime carry the content identity: an
+// edited input file invalidates the entry instead of replaying a stale
+// result.
 type FileMeta struct {
 	AlignSize, AlignMTimeNS int64
 	TreeSize, TreeMTimeNS   int64

@@ -13,13 +13,12 @@
 // less is a miss and the gene is fitted from its cold start.
 //
 // Every entry follows one discipline: writes go through a temp file
-// and atomic rename (concurrent processes sharing
-// a cache directory are last-writer-wins, readers never see a torn
-// file), every entry carries a sha256 checksum over its payload, and
-// any defect on read — missing file, bad JSON, checksum or identity
-// mismatch — is a miss that falls back to recomputation, never a
-// wrong answer. The cache is advisory: deleting the directory costs
-// one cold run.
+// and atomic rename (concurrent processes sharing a cache directory
+// are last-writer-wins, readers never see a torn file), every entry
+// carries a sha256 checksum over its payload, and any defect on read —
+// missing file, bad JSON, checksum or identity mismatch — is a miss
+// that falls back to recomputation, never a wrong answer. The cache is
+// advisory: deleting the directory costs one cold run.
 package persistcache
 
 import (

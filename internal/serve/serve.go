@@ -192,8 +192,8 @@ type TenantHealth struct {
 // CacheHealth is the cache section of the /healthz payload. Every
 // number here is read from the same source the equivalent /metrics
 // series reads at scrape time (lik.DecompCache.Stats, the persistent
-// store's counters), so the two
-// endpoints can never disagree about cache effectiveness.
+// store's counters), so the two endpoints can never disagree about
+// cache effectiveness.
 type CacheHealth struct {
 	// DecompEntries / DecompHits / DecompMisses report the in-memory
 	// eigendecomposition cache (lik.DecompCache.Stats), cumulative over
@@ -583,9 +583,9 @@ func (s *Server) purge(id, event string) error {
 	}
 	// Files first: a removal failure leaves the job listed so the purge
 	// can be retried.
-	// <id>.counts is the per-job codon-count cache that daemons before
-	// its removal wrote; it stays on the list so their data
-	// directories do not leak one file per purged job.
+	// Older daemons kept a per-job codon-count cache in <id>.counts;
+	// it stays on the list so their data directories do not leak one
+	// file per purged job.
 	legacyCounts := filepath.Join(s.cfg.DataDir, id+".counts")
 	for _, p := range []string{job.outPath, job.ledgerPath, job.specPath, legacyCounts} {
 		if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
