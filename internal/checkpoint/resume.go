@@ -107,7 +107,9 @@ type skipper interface{ Skip(n int) error }
 // The shared-frequency pre-pass never runs over a wrapped source: it
 // would pool only the genes after the prefix. Run, the only caller,
 // resolves π on the raw source first (or replays the ledger's π) and
-// wraps it afterwards.
+// wraps it afterwards. The pre-pass also runs before RunBatchStream
+// attaches the persistent store (AttachPersist), so it never sees a
+// replayed gene.
 func Resume(src core.ReplayableSource, skip int) core.ReplayableSource {
 	if skip <= 0 {
 		return src
