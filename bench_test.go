@@ -1,15 +1,16 @@
 // Benchmarks regenerating the paper's evaluation section, one bench
-// per table/figure (see DESIGN.md's per-experiment index):
+// per table/figure (this header is the per-experiment index; the
+// engine design is in docs/ARCHITECTURE.md):
 //
 //	E1  BenchmarkTable2_DatasetShapes      dataset generation (Table II)
-//	E2  TestAccuracy / via cmd/tables      relative lnL difference (§IV-1)
+//	E2  TestAccuracyHarness / cmd/tables   relative lnL difference (§IV-1)
 //	E3  BenchmarkTable3/*                  runtimes + iterations (Table III)
 //	E4  BenchmarkTable4_Speedup/*          speedup flavors (Table IV)
 //	E5  BenchmarkFig3/*                    speedup vs species (Figure 3)
 //	E6  BenchmarkExpm/*                    Eq. 9 vs Eq. 10 kernel ablation
 //	E7  BenchmarkCondVec/*                 Eq. 12 conditional-vector ablation
 //
-// plus design-choice ablations from DESIGN.md:
+// plus design-choice ablations (docs/ARCHITECTURE.md, tiers 1-2):
 //
 //	BenchmarkLikelihoodEval/*       one pruning pass per engine strategy
 //	BenchmarkBranchUpdate/*         O(depth) path update vs full pruning
@@ -506,8 +507,8 @@ func BenchmarkBatchDriver(b *testing.B) {
 
 // BenchmarkBranchUpdate quantifies the O(depth) single-branch path
 // update against a full pruning pass — the design choice that makes
-// numerical branch-length gradients affordable (DESIGN.md,
-// "Optimization").
+// numerical branch-length gradients affordable (docs/ARCHITECTURE.md,
+// "Tier 1 — serial engine").
 func BenchmarkBranchUpdate(b *testing.B) {
 	preset, err := sim.PresetByID("iii")
 	if err != nil {

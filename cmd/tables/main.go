@@ -44,7 +44,7 @@ func main() {
 	if *maxIter > 0 {
 		cfg.MaxIterations = *maxIter
 	}
-	fmt.Printf("mode: maxIterations=%d seed=%d (per-iteration speedups are cap-independent; see DESIGN.md)\n\n",
+	fmt.Printf("mode: maxIterations=%d seed=%d (per-iteration speedups are cap-independent; see the E1–E7 index in bench_test.go)\n\n",
 		cfg.MaxIterations, cfg.Seed)
 
 	if all || *table2 {

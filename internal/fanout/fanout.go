@@ -69,9 +69,14 @@
 //     fsynced shard ledger (checkpoint.ShardLedger) beside the output —
 //     shard data reaches disk before the ledger line that describes it.
 //     A killed coordinator rerun with the identical configuration skips
-//     the appended shards, adopts still-running jobs on their daemons,
-//     and requeues the rest; resuming under a changed manifest, shard
-//     count or options is refused.
+//     the appended shards, adopts its jobs still known to their daemons
+//     — running or already finished — and requeues the rest; resuming
+//     under a changed manifest, shard count or options is refused.
+//   - One delivery path: shard rows reach the spool only through a
+//     follow stream, whether the job is running, interrupted or already
+//     done (a follow on a finished job drains its file and closes). A
+//     stream whose row count disagrees with a done job is re-followed
+//     once; a second disagreement fails the run.
 //   - Failure containment: a daemon that stops answering is excluded
 //     until a re-probe re-admits it, and its unfinished shards flow to
 //     the remaining daemons (a resubmitted job re-runs the shard from
@@ -243,6 +248,9 @@ type shardState struct {
 	// after a 503, or its next follow after a stream that ended before
 	// the job did.
 	retryAt time.Time
+	// refollowed marks a shard whose stream already ended short of a
+	// done job once; a second short stream is fatal.
+	refollowed bool
 }
 
 // followState is one open follow stream: a goroutine copying the
@@ -573,7 +581,7 @@ func newCoord(ctx context.Context, cfg Config) (*coord, error) {
 	}
 
 	// Spool files are only trusted within one coordinator incarnation
-	// (a kill can tear a download mid-copy); stale ones are refetched.
+	// (a kill can tear a stream mid-copy); stale ones are re-followed.
 	for _, st := range c.shards {
 		os.Remove(st.spool)
 	}
@@ -871,7 +879,12 @@ func follow(ctx context.Context, client *serve.Client, jobID, spool string) (int
 	if err != nil {
 		return 0, err
 	}
-	return spoolCopy(f, rc)
+	lc := &lineCounter{w: f}
+	_, err = io.Copy(lc, rc)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return lc.lines, err
 }
 
 // stopFollower cancels a shard's follower, if any; its report, should
@@ -896,10 +909,10 @@ func (c *coord) followEnded(ctx context.Context, ev followEnd) error {
 
 // finishFollow resolves a completed follow stream. The stream ending
 // is not authoritative on its own — the job's state is — so one status
-// round trip classifies it: done makes the spool the shard's results; a
-// non-terminal state means the stream was cut early (daemon restart
-// mid-job) and the shard re-follows after retryDelay; failures send the
-// shard back to the queue.
+// round trip classifies it: done with one row per gene makes the spool
+// the shard's results; a non-terminal state means the stream was cut
+// early (daemon restart mid-job) and the shard re-follows after
+// retryDelay; failures send the shard back to the queue.
 func (c *coord) finishFollow(ctx context.Context, i int, res followEnd) error {
 	st := c.shards[i]
 	ep := c.eps[st.endpoint]
@@ -939,8 +952,15 @@ func (c *coord) finishFollow(ctx context.Context, i int, res followEnd) error {
 		if res.lines != len(st.entries) {
 			// The stream was cut before the job finished and the daemon
 			// finished it before this status call (a quick restart):
-			// fetch the results whole.
-			return c.spoolShard(ctx, i)
+			// follow again at once, which drains the finished file. A
+			// daemon claiming done with the wrong number of rows would
+			// silently corrupt the merge, so a second miss is fatal.
+			if st.refollowed {
+				return fmt.Errorf("fanout: job %s returned %d rows for a %d-gene shard", st.jobID, res.lines, len(st.entries))
+			}
+			st.refollowed = true
+			c.startFollower(ctx, i)
+			return nil
 		}
 		c.setPhase(st, shardJobDone)
 	case serve.StateFailed:
@@ -968,6 +988,7 @@ func (c *coord) demote(shard int, reason string) error {
 	c.setPhase(st, shardPending)
 	st.jobID = ""
 	st.retryAt = time.Time{}
+	st.refollowed = false
 	st.resubmits++
 	c.sum.Resubmits++
 	c.met.resubmits.Inc()
@@ -980,9 +1001,9 @@ func (c *coord) demote(shard int, reason string) error {
 }
 
 // adoptAssignments probes the ledger's recorded jobs so a resumed
-// coordinator follows still-live daemon jobs instead of starting them
-// over. A job the daemon no longer knows (or a daemon that is gone)
-// sends the shard back to the queue.
+// coordinator follows its daemon jobs — live or already finished —
+// instead of starting them over. A job the daemon no longer knows (or a
+// daemon that is gone) sends the shard back to the queue.
 func (c *coord) adoptAssignments(ctx context.Context) error {
 	for i := c.next; i < len(c.shards); i++ {
 		st := c.shards[i]
@@ -1003,15 +1024,11 @@ func (c *coord) adoptAssignments(ctx context.Context) error {
 		sameJob := err == nil && status.ManifestDigest == st.digest
 		switch {
 		case sameJob && (status.State == serve.StateQueued || status.State == serve.StateRunning ||
-			status.State == serve.StateInterrupted):
+			status.State == serve.StateInterrupted || status.State == serve.StateDone):
 			c.sum.Adopted++
 			c.log.Info("adopted job", "shard", i, "endpoint", ep.url, "job", st.jobID,
 				"state", status.State, "done", status.Done, "total", status.Total)
 			c.startFollower(ctx, i)
-		case sameJob && status.State == serve.StateDone:
-			st.phase = shardJobDone
-			c.sum.Adopted++
-			c.log.Info("adopted finished job", "shard", i, "endpoint", ep.url, "job", st.jobID)
 		case err == nil || serve.IsNotFound(err):
 			// Failed, cancelled, or forgotten: run it again.
 			st.phase = shardPending
@@ -1032,54 +1049,6 @@ func (c *coord) adoptAssignments(ctx context.Context) error {
 		}
 	}
 	return nil
-}
-
-// spoolShard downloads one finished shard's JSONL rows to its local
-// spool file, verifying the row count matches the shard — a daemon
-// claiming done with the wrong number of rows would silently corrupt
-// the merge, and is fatal. Transport failures mark the endpoint dead
-// and demote the shard for resubmission. On success the shard is ready
-// to merge whenever its in-order turn comes, independent of the
-// daemon's fate.
-func (c *coord) spoolShard(ctx context.Context, i int) error {
-	st := c.shards[i]
-	ep := c.eps[st.endpoint]
-	rc, err := ep.client.Results(ctx, st.jobID)
-	if err == nil {
-		var f *os.File
-		if f, err = os.Create(st.spool); err != nil {
-			rc.Close()
-			return fmt.Errorf("fanout: %w", err)
-		}
-		var lines int
-		lines, err = spoolCopy(f, rc)
-		rc.Close()
-		if err == nil {
-			if lines != len(st.entries) {
-				return fmt.Errorf("fanout: job %s returned %d rows for a %d-gene shard", st.jobID, lines, len(st.entries))
-			}
-			c.setPhase(st, shardJobDone)
-			return nil
-		}
-	}
-	if cerr := c.cancelled(ctx, err); cerr != nil {
-		return cerr
-	}
-	if !isAPIError(err) {
-		c.markDead(st.endpoint, err)
-	}
-	return c.demote(i, fmt.Sprintf("results of job %s unavailable: %v", st.jobID, err))
-}
-
-// spoolCopy copies a result stream into a freshly created spool file,
-// closes it, and counts the rows.
-func spoolCopy(f *os.File, r io.Reader) (int, error) {
-	lc := &lineCounter{w: f}
-	_, err := io.Copy(lc, r)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return lc.lines, err
 }
 
 // appendReady merges completed shards into the output, strictly in
@@ -1106,17 +1075,6 @@ func (c *coord) appendReady(ctx context.Context) error {
 		}
 		if st.phase != shardJobDone {
 			return nil
-		}
-		if _, err := os.Stat(st.spool); err != nil {
-			// An adopted finished job reaches jobDone without a spool;
-			// download it now. Failure demotes the shard (and returns
-			// it to the submit loop) rather than stalling the merge.
-			if err := c.spoolShard(ctx, c.next); err != nil {
-				return err
-			}
-			if st.phase != shardJobDone {
-				return nil
-			}
 		}
 		f, err := os.Open(st.spool)
 		if err != nil {

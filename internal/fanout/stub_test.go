@@ -29,10 +29,12 @@ import (
 	"repro/internal/serve"
 )
 
-// stubJob is one accepted job: the gene names of its shard.
+// stubJob is one accepted job: the gene names of its shard and the
+// manifest digest its status reports, as a real daemon's does.
 type stubJob struct {
-	id    string
-	genes []string
+	id     string
+	genes  []string
+	digest string
 }
 
 // stubDaemon speaks just enough of the serve wire protocol for the
@@ -65,6 +67,11 @@ type stubDaemon struct {
 	// job-level failure for exercising the resubmission path.
 	failFirst   bool
 	statusDelay time.Duration
+	// shortRows drops that many rows from the end of every results
+	// body — a daemon reporting done with a short results file.
+	shortRows int
+	// plainFetches counts results requests without follow=1.
+	plainFetches int
 }
 
 func newStubDaemon() *stubDaemon {
@@ -96,7 +103,7 @@ func (d *stubDaemon) handler() http.Handler {
 			return
 		}
 		d.nextID++
-		job := &stubJob{id: fmt.Sprintf("s%03d", d.nextID)}
+		job := &stubJob{id: fmt.Sprintf("s%03d", d.nextID), digest: manifest.Digest(entries)}
 		for _, e := range entries {
 			job.genes = append(job.genes, e.Name)
 		}
@@ -130,7 +137,7 @@ func (d *stubDaemon) handler() http.Handler {
 		case d.ready(d, job.id):
 			state = serve.StateDone
 		}
-		json.NewEncoder(w).Encode(serve.Status{ID: job.id, State: state, Total: len(job.genes), Done: len(job.genes), Error: "stub failure"})
+		json.NewEncoder(w).Encode(serve.Status{ID: job.id, State: state, Total: len(job.genes), Done: len(job.genes), Error: "stub failure", ManifestDigest: job.digest})
 	})
 	mux.HandleFunc("GET /jobs/{id}/results", func(w http.ResponseWriter, r *http.Request) {
 		d.mu.Lock()
@@ -141,8 +148,11 @@ func (d *stubDaemon) handler() http.Handler {
 			return
 		}
 		d.fetched = append(d.fetched, job.id)
+		if r.URL.Query().Get("follow") != "1" {
+			d.plainFetches++
+		}
 		follow := !d.noFollow && r.URL.Query().Get("follow") != ""
-		genes := append([]string(nil), job.genes...)
+		genes := append([]string(nil), job.genes[:len(job.genes)-d.shortRows]...)
 		id := job.id
 		d.mu.Unlock()
 		var buf bytes.Buffer
@@ -357,6 +367,98 @@ func TestFanoutFollowReplacesPolling(t *testing.T) {
 	}
 	if got := followCount(t, reg, "started"); got != float64(jobs) {
 		t.Fatalf("follow_streams_total{event=started} = %g, want %d", got, jobs)
+	}
+}
+
+// A resumed coordinator whose shard ledger names a job the daemon has
+// since finished adopts it: the finished job's rows arrive through a
+// follow stream like a running job's — no resubmission, and no results
+// request without follow=1.
+func TestFanoutAdoptsFinishedJob(t *testing.T) {
+	entries := stubEntries(t, 4)
+	stub := newStubDaemon()
+	finished := false // read under stub.mu, like every ready call
+	stub.ready = func(*stubDaemon, string) bool { return finished }
+	ts := httptest.NewServer(stub.handler())
+	defer ts.Close()
+
+	// One endpoint with one slot: the first run submits shard 0 only and
+	// is interrupted at once, leaving the submission in the ledger.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cfg := fanout.Config{
+		Entries:     entries,
+		Endpoints:   []string{ts.URL},
+		Shards:      2,
+		OutPath:     filepath.Join(t.TempDir(), "merged.jsonl"),
+		Spec:        serve.JobSpec{MaxIter: 1, Seed: 1},
+		OnSubmitted: func(int, string, string) { cancel() },
+	}
+	if _, err := fanout.Run(ctx, cfg); !errors.Is(err, context.Canceled) {
+		t.Fatalf("interrupted run: %v, want an error wrapping context.Canceled", err)
+	}
+
+	// The daemon finishes the recorded job while no coordinator runs.
+	stub.mu.Lock()
+	finished = true
+	stub.mu.Unlock()
+	cfg.OnSubmitted = nil
+	sum, err := fanout.Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Adopted != 1 {
+		t.Fatalf("summary %+v: want exactly 1 adopted shard", sum)
+	}
+	names := mergedNames(t, cfg.OutPath)
+	if len(names) != len(entries) {
+		t.Fatalf("merged %d rows, want %d", len(names), len(entries))
+	}
+	for i, e := range entries {
+		if names[i] != e.Name {
+			t.Fatalf("merged row %d is %s, want %s", i, names[i], e.Name)
+		}
+	}
+	stub.mu.Lock()
+	defer stub.mu.Unlock()
+	if stub.submits != 2 {
+		t.Fatalf("%d submissions over both runs, want 2 (the adopted shard is not resubmitted)", stub.submits)
+	}
+	if stub.plainFetches != 0 {
+		t.Fatalf("%d results requests without follow=1, want none", stub.plainFetches)
+	}
+}
+
+// A daemon that reports done while the stream carried fewer rows than
+// the shard holds gets exactly one immediate re-follow; when that
+// stream is short too, the run fails with the row-count error instead
+// of merging a short shard.
+func TestFanoutShortDoneJobFailsAfterOneRefollow(t *testing.T) {
+	stub := newStubDaemon()
+	stub.shortRows = 1
+	ts := httptest.NewServer(stub.handler())
+	defer ts.Close()
+
+	_, err := fanout.Run(context.Background(), fanout.Config{
+		Entries:   stubEntries(t, 3),
+		Endpoints: []string{ts.URL},
+		Shards:    1,
+		OutPath:   filepath.Join(t.TempDir(), "merged.jsonl"),
+		Spec:      serve.JobSpec{MaxIter: 1, Seed: 1},
+	})
+	if err == nil || !strings.Contains(err.Error(), "returned 2 rows for a 3-gene shard") {
+		t.Fatalf("run against a short done job: %v, want the row-count error", err)
+	}
+	stub.mu.Lock()
+	defer stub.mu.Unlock()
+	if stub.submits != 1 {
+		t.Fatalf("%d submissions, want 1: a short done job is re-followed, not resubmitted", stub.submits)
+	}
+	if len(stub.fetched) != 2 {
+		t.Fatalf("%d follow streams, want exactly 2 (the stream and one re-follow)", len(stub.fetched))
+	}
+	if stub.plainFetches != 0 {
+		t.Fatalf("%d results requests without follow=1, want none", stub.plainFetches)
 	}
 }
 

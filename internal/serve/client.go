@@ -161,25 +161,6 @@ func (c *Client) ListJobsPage(ctx context.Context, offset, limit int) (JobsPage,
 	return page, err
 }
 
-// Results streams the job's JSONL results (possibly mid-run: the
-// stream is whatever prefix is durably on disk). The caller closes the
-// reader.
-func (c *Client) Results(ctx context.Context, id string) (io.ReadCloser, error) {
-	req, err := c.newRequest(ctx, http.MethodGet, "/jobs/"+url.PathEscape(id)+"/results", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		defer resp.Body.Close()
-		return nil, decodeError(resp)
-	}
-	return resp.Body, nil
-}
-
 // FollowResults opens a follow-mode result stream (GET
 // /jobs/{id}/results?follow=1&offset=N): a chunked JSONL stream that
 // delivers each gene record as the daemon's checkpoint ledger makes it

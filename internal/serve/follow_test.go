@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http/httptest"
+	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -267,4 +270,60 @@ func TestFollowQueuedJobEndsOnCancel(t *testing.T) {
 		t.Fatal("follow stream of a cancelled queued job did not end within 1 s")
 	}
 	c.Cancel(context.Background(), blocker.ID)
+}
+
+// The plain and the follow results fetch share one complete-line
+// reader. On a results file larger than its 64 KiB read buffer, with a
+// record straddling a read boundary and a torn final line, both hand out
+// the same bytes: every complete record and nothing of the torn line.
+func TestResultsReaderCompleteLinesOnly(t *testing.T) {
+	srv, err := serve.New(serve.Config{DataDir: t.TempDir(), PoolWorkers: 1, MaxActive: 1, QueueDepth: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(context.Background())
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	maniPath, _ := simManifest(t, 1, 8600)
+	st := postJob(t, ts.URL, serve.JobSpec{ManifestPath: maniPath, MaxIter: 1, Seed: 1, Concurrency: 1})
+	pollUntil(t, ts.URL, st.ID, func(s serve.Status) bool { return s.State == serve.StateDone }, "done")
+	job, ok := srv.Job(st.ID)
+	if !ok {
+		t.Fatalf("no job %s", st.ID)
+	}
+
+	// Replace the finished job's results with a large file of our own.
+	const readBuf = 64 << 10
+	var want bytes.Buffer
+	for i := 0; want.Len() < 3*readBuf; i++ {
+		fmt.Fprintf(&want, "{\"name\":\"g%06d\",\"pad\":%q}\n", i, strings.Repeat("x", 90))
+	}
+	if want.Bytes()[readBuf-1] == '\n' {
+		t.Fatal("setup: a record ends exactly at the read boundary; change the padding")
+	}
+	torn := append(append([]byte(nil), want.Bytes()...), `{"name":"torn","pad":"xx`...)
+	if err := os.WriteFile(job.ResultsPath(), torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	plain := fetchResults(t, ts.URL, st.ID)
+	rc, followed, err := serve.NewClient(ts.URL).FollowResults(context.Background(), st.ID, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !followed {
+		t.Fatal("daemon did not advertise follow capability")
+	}
+	streamed, err := io.ReadAll(rc) // the job is done: one pass, then the stream ends
+	rc.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(plain, streamed) {
+		t.Fatalf("plain fetch (%d bytes) and follow (%d bytes) diverge", len(plain), len(streamed))
+	}
+	if !bytes.Equal(plain, want.Bytes()) {
+		t.Fatalf("fetched %d bytes, want the %d bytes of complete records (torn tail dropped)", len(plain), want.Len())
+	}
 }

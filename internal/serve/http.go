@@ -226,6 +226,7 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 		}
 		offset = n
 	}
+	lines := newLineReader(job.ResultsPath(), offset)
 	if v := q.Get("follow"); v != "" {
 		follow, err := strconv.ParseBool(v)
 		if err != nil {
@@ -233,31 +234,17 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if follow {
-			s.streamResults(w, r, job, offset)
+			s.streamResults(w, r, job, lines)
 			return
 		}
 	}
-	f, err := os.Open(job.ResultsPath())
-	if err != nil {
-		if os.IsNotExist(err) {
-			// No results yet: an empty stream, not an error.
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			w.WriteHeader(http.StatusOK)
-			return
-		}
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	defer f.Close()
-	if offset > 0 {
-		if _, err := f.Seek(offset, io.SeekStart); err != nil {
-			writeError(w, http.StatusInternalServerError, err)
-			return
-		}
-	}
+	// A plain fetch is one pass of the follow reader with no wait: the
+	// complete records on disk now, never a line caught mid-append. A
+	// missing file (no results yet) is an empty stream, not an error.
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	io.Copy(w, f)
+	if _, err := lines.forward(w); err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+	}
 }
 
 // followHeader marks a follow-capable response — the capability signal
@@ -278,7 +265,7 @@ const followHeader = "X-Slimcodemld-Follow"
 //
 // The stream sleeps on the job's change signal, which fires after each
 // row is durable and on every state change — no timer paces it.
-func (s *Server) streamResults(w http.ResponseWriter, r *http.Request, job *Job, offset int64) {
+func (s *Server) streamResults(w http.ResponseWriter, r *http.Request, job *Job, lines *lineReader) {
 	flusher, canFlush := w.(http.Flusher)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set(followHeader, "1")
@@ -290,15 +277,14 @@ func (s *Server) streamResults(w http.ResponseWriter, r *http.Request, job *Job,
 	s.met.followActive.Inc()
 	defer s.met.followActive.Dec()
 
-	pos := offset
-	var pending []byte
-	buf := make([]byte, 64<<10)
 	for {
 		// Snapshot before read: a terminal state means no further
 		// writes, so the read after it drains everything; otherwise any
-		// row landing after the read fires changed.
+		// row landing after the read fires changed. A file that cannot
+		// be opened yet (job not started, purged mid-stream) is simply
+		// no new bytes.
 		terminal, changed := job.watch()
-		if n := forwardCompleteLines(w, job.ResultsPath(), &pos, &pending, buf); n > 0 && canFlush {
+		if n, _ := lines.forward(w); n > 0 && canFlush {
 			flusher.Flush()
 		}
 		if terminal {
@@ -318,40 +304,57 @@ func (s *Server) streamResults(w http.ResponseWriter, r *http.Request, job *Job,
 	}
 }
 
-// forwardCompleteLines copies newly appended bytes from path (starting
-// at *pos) to w, reading through buf, but only ever through the last
-// '\n' — a partial line caught mid-append waits in *pending until its
-// terminator lands. Returns the bytes written to w. A missing file (job
-// not started, purged mid-stream) is simply zero new bytes.
-func forwardCompleteLines(w io.Writer, path string, pos *int64, pending *[]byte, buf []byte) int {
-	f, err := os.Open(path)
+// lineReader reads a job's results file from a byte offset and hands
+// out complete lines only — the one reader behind both the plain and
+// the follow results fetch. A partial line caught mid-append waits in
+// pending until its terminator lands; memory is one read buffer plus
+// that partial tail.
+type lineReader struct {
+	path    string
+	pos     int64 // file offset read so far, pending included
+	pending []byte
+	buf     []byte
+}
+
+func newLineReader(path string, offset int64) *lineReader {
+	return &lineReader{path: path, pos: offset, buf: make([]byte, 64<<10)}
+}
+
+// forward copies the bytes appended since the last call to w, reading
+// to EOF and writing through the last '\n' after each read. It returns
+// the bytes written. A missing file is zero bytes and no error; any
+// other open or seek failure is returned before anything is written. A
+// read or write error ends the pass: whatever was written is a clean
+// prefix, and a write error means the client went away.
+func (l *lineReader) forward(w io.Writer) (int, error) {
+	f, err := os.Open(l.path)
 	if err != nil {
-		return 0
+		if os.IsNotExist(err) {
+			return 0, nil
+		}
+		return 0, err
 	}
 	defer f.Close()
-	if _, err := f.Seek(*pos, io.SeekStart); err != nil {
-		return 0
+	if _, err := f.Seek(l.pos, io.SeekStart); err != nil {
+		return 0, err
 	}
+	written := 0
 	for {
-		n, err := f.Read(buf)
-		if n > 0 {
-			*pos += int64(n)
-			*pending = append(*pending, buf[:n]...)
+		n, rerr := f.Read(l.buf)
+		l.pos += int64(n)
+		l.pending = append(l.pending, l.buf[:n]...)
+		if i := bytes.LastIndexByte(l.pending, '\n'); i >= 0 {
+			m, werr := w.Write(l.pending[:i+1])
+			written += m
+			l.pending = append(l.pending[:0], l.pending[i+1:]...)
+			if werr != nil {
+				return written, nil
+			}
 		}
-		if err != nil {
-			break
+		if rerr != nil {
+			return written, nil
 		}
 	}
-	i := bytes.LastIndexByte(*pending, '\n')
-	if i < 0 {
-		return 0
-	}
-	written, err := w.Write((*pending)[:i+1])
-	*pending = append((*pending)[:0], (*pending)[i+1:]...)
-	if err != nil {
-		return 0
-	}
-	return written
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {

@@ -268,7 +268,7 @@ func TestTenancyFairShareEndToEnd(t *testing.T) {
 		c  *serve.Client
 		id string
 	}{{alice, a2.ID}, {bob, b1.ID}} {
-		rc, err := probe.c.Results(ctx, probe.id)
+		rc, _, err := probe.c.FollowResults(ctx, probe.id, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

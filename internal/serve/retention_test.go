@@ -167,7 +167,7 @@ func TestServePurgeAndRetention(t *testing.T) {
 	}
 
 	// Client error classification for an unknown job.
-	if rc, err := client.Results(ctx, "j999999"); err == nil {
+	if rc, _, err := client.FollowResults(ctx, "j999999", 0); err == nil {
 		rc.Close()
 		t.Fatal("results of an unknown job succeeded")
 	} else if !serve.IsNotFound(err) {
